@@ -16,13 +16,12 @@ criterion), matching the representation's scope.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from imchar import densities
-from imchar.domains import TWO_PI, GroupDomain
+from imchar.domains import _KINDS, GroupDomain
 from imchar.errors import ParameterError, UnsupportedDomainError
 from imchar.measures import DensitySegment, NamedTerm, SignedMeasure
 from imchar.quadrature import integrate_trig
@@ -45,33 +44,6 @@ class GramReport:
     points: tuple
     min_eigenvalue: float
     is_psd: bool
-
-
-def _dual_value(domain: GroupDomain, x):
-    """Validate one dual-group point for eval_cf."""
-    if domain.kind == "R":
-        return float(x)
-    if domain.kind == "T":
-        xf = float(x)
-        if xf != int(xf):
-            raise ParameterError(f"the dual of T is Z; got non-integer frequency {x!r}")
-        return int(xf)
-    if domain.kind == "Z":
-        return float(x)
-    if domain.kind == "Zn":
-        xf = float(x)
-        if xf != int(xf):
-            raise ParameterError(f"the dual of Z_{domain.n} needs integer residues, got {x!r}")
-        return int(xf) % domain.n
-    raise UnsupportedDomainError(
-        "transforms on Rbox products are outside the representation; "
-        "use the support criterion for classification there")
-
-
-def _atom_phase(domain: GroupDomain, t, x) -> complex:
-    if domain.kind == "Zn":
-        return cmath.exp(2j * math.pi * (t * x) / domain.n)
-    return cmath.exp(1j * x * t)
 
 
 def _poly_osc_integral(coeffs, a: float, b: float, x: float) -> complex:
@@ -110,15 +82,10 @@ def _named_osc_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     """weight * integral of (possibly reflected) pdf * e^{ixt} over [c, d]."""
     fam = densities.family(nt.name)
     params = nt.params_dict
-    conj = False
     if nt.reflected:
         # mirror onto the family's own orientation; e^{ixt} picks up a
         # conjugate because the substitution flips the sign of the phase
-        if domain.kind == "T":
-            c, d = TWO_PI - d, TWO_PI - c
-        else:
-            c, d = -d, -c
-        conj = True
+        c, d = _KINDS[domain.kind].mirror(c, d)
     slo, shi = fam.support(params)
     lo, hi = max(c, slo), min(d, shi)
     if lo >= hi:
@@ -127,7 +94,7 @@ def _named_osc_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     re = integrate_trig(pdf, lo, hi, x, "cos")
     im = integrate_trig(pdf, lo, hi, x, "sin")
     val = complex(re.value, im.value)
-    if conj:
+    if nt.reflected:
         val = val.conjugate()
     err = abs(nt.weight) * (re.error + im.error)
     return nt.weight * val, err, re.warned or im.warned
@@ -148,10 +115,11 @@ def _segment_cf(domain: GroupDomain, seg: DensitySegment, x) -> tuple[complex, f
 
 def eval_cf_with_error(m: SignedMeasure, x) -> tuple[complex, float, bool]:
     """Transform value at one dual point plus an additive error bound."""
-    xv = _dual_value(m.domain, x)
+    row = _KINDS[m.domain.kind]
+    xv = row.dual(m.domain, x)
     total = 0j
     for a in m.atoms:
-        total += a.w * _atom_phase(m.domain, a.t, xv)
+        total += a.w * row.phase(m.domain, a.t, xv)
     err, warned = 0.0, False
     for seg in m.density:
         v, e, w = _segment_cf(m.domain, seg, xv)
@@ -202,16 +170,7 @@ def fourier_coeffs(m: SignedMeasure) -> tuple[dict, frozenset]:
 
 def default_dual_grid(domain: GroupDomain, count: int = 64):
     """A reasonable grid of dual points for discrepancy scans."""
-    if domain.kind == "R":
-        return list(np.linspace(-20.0, 20.0, count))
-    if domain.kind == "T":
-        half = count // 2
-        return list(range(-half, count - half))
-    if domain.kind == "Z":
-        return list(np.linspace(-math.pi, math.pi, count, endpoint=False))
-    if domain.kind == "Zn":
-        return list(range(min(domain.n, count)))
-    raise UnsupportedDomainError("no dual grid on Rbox products")
+    return _KINDS[domain.kind].dual_grid(domain, count)
 
 
 def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramReport:
@@ -228,13 +187,15 @@ def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramRep
         raise ParameterError("psd_check needs at least one dual point")
     if n > MAX_GRAM_ORDER:
         raise ParameterError(f"psd_check is limited to {MAX_GRAM_ORDER} points, got {n}")
-    if len({_dual_value(m.domain, x) for x in pts}) != n:
+    dual = _KINDS[m.domain.kind].dual
+    xs = [dual(m.domain, x) for x in pts]
+    if len(set(xs)) != n:
         raise ParameterError("psd_check points must be pairwise distinct")
     g = np.empty((n, n), dtype=complex)
     cache: dict = {}
     for j in range(n):
         for k in range(n):
-            d = _dual_diff(m.domain, pts[j], pts[k])
+            d = dual(m.domain, xs[j] - xs[k])
             if d not in cache:
                 cache[d] = eval_cf(m, d)
             g[j, k] = cache[d]
@@ -243,10 +204,3 @@ def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramRep
     lam = float(eigs[0])
     return GramReport(tuple(pts), lam, lam >= -tolerance)
 
-
-def _dual_diff(domain: GroupDomain, a, b):
-    if domain.kind == "Zn":
-        return (_dual_value(domain, a) - _dual_value(domain, b)) % domain.n
-    if domain.kind == "T":
-        return _dual_value(domain, a) - _dual_value(domain, b)
-    return float(a) - float(b)

@@ -30,6 +30,7 @@ from imchar.charfn import sample_cf
 from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
 from imchar.determine import (NORM_TOLERANCE, bnorm_im, companion,
                               is_determined, support_criterion_verdict)
+from imchar.domains import _KINDS
 from imchar.errors import ImcharError, InternalCheckError, ParameterError
 from imchar.finite import oracle_agreement
 from imchar.measures import SignedMeasure
@@ -195,17 +196,15 @@ def _cmd_cf_grid(args) -> int:
     m, _ = _load_input(args)
     if args.points < 1:
         raise ParameterError("--points must be at least 1")
-    if m.domain.kind in ("Z",):
-        lo, hi = args.xmin, args.xmax
-        pts = [lo + (hi - lo) * i / max(args.points - 1, 1) for i in range(args.points)]
-    elif m.domain.kind in ("T", "Zn"):
-        pts = list(range(int(args.xmin), int(args.xmax) + 1))[: args.points]
+    integer_dual = _KINDS[m.domain.kind].integer_dual
+    if integer_dual:
+        pts = list(range(int(args.xmin), int(args.xmax) + 1)[: args.points])
     else:
         lo, hi = args.xmin, args.xmax
         pts = [lo + (hi - lo) * i / max(args.points - 1, 1) for i in range(args.points)]
     sample = sample_cf(m, pts)
-    rows = [(float(x) if m.domain.kind in ("R", "Z") else int(x),
-             v.real, v.imag, sample.error_bound)
+    cast = int if integer_dual else float
+    rows = [(cast(x), v.real, v.imag, sample.error_bound)
             for x, v in zip(sample.points, sample.values)]
     if getattr(args, "format", None) == "json":
         _emit(args, jsonio.dumps([
@@ -220,18 +219,39 @@ def _cmd_cf_grid(args) -> int:
 # wiring
 
 
-def _add_input_flags(p: _Parser, sigma: bool = False):
-    p.add_argument("--dist", help="catalog distribution name")
-    p.add_argument("--params", help="comma-separated k=v parameter overrides")
-    p.add_argument("--measure", help="path to a measure JSON file")
-    p.add_argument("--tolerance", type=float, default=NORM_TOLERANCE,
-                   help="determination tolerance (default 1e-6)")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default=None,
-                   help="output encoding (json everywhere; csv for cf-grid)")
-    if sigma:
-        p.add_argument("--sigma", default="zero",
-                       help='symmetric filler: "zero" (default) or "pair:<a>"')
+_INPUT_FLAGS = (
+    ("--dist", dict(help="catalog distribution name")),
+    ("--params", dict(help="comma-separated k=v parameter overrides")),
+    ("--measure", dict(help="path to a measure JSON file")),
+    ("--tolerance", dict(type=float, default=NORM_TOLERANCE,
+                         help="determination tolerance (default 1e-6)")),
+    ("--out", dict(help="write output to this file instead of stdout")),
+    ("--format", dict(choices=["json", "csv"], default=None,
+                      help="output encoding (json everywhere; csv for cf-grid)")),
+)
+_OUTPUT_FLAGS = (("--out", {}), ("--format", dict(choices=["json", "csv"], default=None)))
+
+#: (name, body, help, flags) per subcommand, in --help order
+_COMMANDS = (
+    ("classify", _cmd_classify, "determination verdict", _INPUT_FLAGS),
+    ("norm", _cmd_norm, "norm of the transform's imaginary part", _INPUT_FLAGS),
+    ("companion", _cmd_companion, "distinct measure with the same imaginary part",
+     _INPUT_FLAGS + (("--sigma", dict(default="zero", help='symmetric filler: '
+                                      '"zero" (default) or "pair:<a>"')),)),
+    ("decompose", _cmd_decompose, "symmetric/antisymmetric and Jordan decompositions",
+     _INPUT_FLAGS),
+    ("verify-lemma1", _cmd_verify_lemma1,
+     "disjoint-support certificate for the antisymmetric part", _INPUT_FLAGS),
+    ("oracle", _cmd_oracle, "Z_n closed-form agreement run",
+     (("--n", dict(type=int, required=True, help="group order (>= 2)")),
+      ("--trials", dict(type=int, default=100)),
+      ("--seed", dict(type=int, default=0))) + _OUTPUT_FLAGS),
+    ("catalog-list", _cmd_catalog_list, "catalog entries as JSON", _OUTPUT_FLAGS),
+    ("cf-grid", _cmd_cf_grid, "transform values on a grid (CSV)",
+     _INPUT_FLAGS + (("--xmin", dict(type=float, default=-10.0)),
+                     ("--xmax", dict(type=float, default=10.0)),
+                     ("--points", dict(type=int, default=101)))),
+)
 
 
 def build_parser() -> _Parser:
@@ -239,51 +259,11 @@ def build_parser() -> _Parser:
                      description="determination of characteristic functions "
                                  "by their imaginary parts")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("classify", parents=[], help="determination verdict")
-    _add_input_flags(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("norm", help="norm of the transform's imaginary part")
-    _add_input_flags(p)
-    p.set_defaults(fn=_cmd_norm)
-
-    p = sub.add_parser("companion",
-                       help="distinct measure with the same imaginary part")
-    _add_input_flags(p, sigma=True)
-    p.set_defaults(fn=_cmd_companion)
-
-    p = sub.add_parser("decompose",
-                       help="symmetric/antisymmetric and Jordan decompositions")
-    _add_input_flags(p)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("verify-lemma1",
-                       help="disjoint-support certificate for the "
-                            "antisymmetric part")
-    _add_input_flags(p)
-    p.set_defaults(fn=_cmd_verify_lemma1)
-
-    p = sub.add_parser("oracle", help="Z_n closed-form agreement run")
-    p.add_argument("--n", type=int, required=True, help="group order (>= 2)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("catalog-list", help="catalog entries as JSON")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.set_defaults(fn=_cmd_catalog_list)
-
-    p = sub.add_parser("cf-grid", help="transform values on a grid (CSV)")
-    _add_input_flags(p)
-    p.add_argument("--xmin", type=float, default=-10.0)
-    p.add_argument("--xmax", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=101)
-    p.set_defaults(fn=_cmd_cf_grid)
-
+    for name, fn, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 

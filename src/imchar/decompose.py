@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from imchar.domains import BorelSet, GroupDomain
+from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
 from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, add,
                              build_measure, measure_of, reflect, scale,
@@ -86,23 +86,22 @@ def hahn_jordan(m: SignedMeasure) -> JordanPair:
     positive = build_measure(domain, pos_atoms, pos_segs)
     negative = build_measure(domain, neg_atoms, neg_segs)
 
-    if domain.kind in ("Z", "Zn"):
+    if domain.discrete:
         a_neg = BorelSet.from_indices(domain, (t for t, _ in neg_atoms))
-        if domain.kind == "Zn":
-            a_pos = a_neg.complement()
-        else:
+        if _KINDS[domain.kind].complement is None:
             a_pos = BorelSet.from_indices(domain, (t for t, _ in pos_atoms))
+        else:
+            a_pos = a_neg.complement()
     else:
-        neg_open = BorelSet.from_intervals(domain, neg_spans) if neg_spans \
+        a_neg = BorelSet.from_intervals(domain, neg_spans) if neg_spans \
             else BorelSet.empty(domain)
         if neg_atoms:
-            neg_open = neg_open.union(BorelSet.points(domain, [t for t, _ in neg_atoms]))
+            a_neg = a_neg.union(BorelSet.points(domain, [t for t, _ in neg_atoms]))
         if pos_atoms:
             # an atom of positive weight sitting inside a negative density
             # span still belongs to the positive set; carve it out
-            neg_open = neg_open.intersect(
+            a_neg = a_neg.intersect(
                 BorelSet.points(domain, [t for t, _ in pos_atoms]).complement())
-        a_neg = neg_open
         a_pos = a_neg.complement()
     return JordanPair(positive, negative, a_pos, a_neg)
 

@@ -71,7 +71,7 @@ def require_probability(m: SignedMeasure, tol: float = MASS_TOLERANCE):
     if abs(total - 1.0) > tol:
         raise PreconditionError(f"probability measure expected: total mass {total!r} "
                                 f"misses 1 by more than {tol:.1e}")
-    if m.domain.kind == "Rbox":
+    if m.factors:
         for f in m.factors:
             require_probability(f, tol)
         return

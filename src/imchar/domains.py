@@ -15,19 +15,54 @@ kind      group                     set representation
 Points on ``T`` are canonicalized into [0, 2*pi); residues mod n into
 [0, n). Negation, intersection, union and (where representable)
 complement are closed on each representation, which is what the
-decomposition routines rely on.
+decomposition routines rely on. Everything that differs between the
+kinds is one row of ``_KINDS`` at the end of this module.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from imchar.errors import DomainMismatchError, ParameterError, UnsupportedDomainError
 
 TWO_PI = 2.0 * math.pi
 
-_KINDS = ("R", "Z", "T", "Zn", "Rbox")
+
+def _exp_phase(domain: GroupDomain, t, x) -> complex:
+    return cmath.exp(1j * x * t)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The group data of one domain kind: one row of ``_KINDS``.
+
+    Point and dual functions take the GroupDomain first, since Zn and
+    Rbox read ``n`` from it. ``None`` marks data a kind does not have:
+    densities live only on R and T, interval sets likewise.
+    """
+
+    label: str            # describe() text, formatted with n
+    sized: bool           # n is required: the order of Zn, the dimension of Rbox
+    point: Callable       # canonical point
+    negate: Callable      # group inverse of a point
+    dual: Callable        # a validated dual-group point
+    dual_grid: Callable   # default dual grid of a given size
+    payload: str          # BorelSet field: "intervals", "indices" or "boxes"
+    whole: Callable       # the whole group as a BorelSet
+    phase: Callable = _exp_phase        # the character <t, x>
+    integer_dual: bool = False
+    circular: bool | None = None        # do its density families live on T?
+    mirror: Callable | None = None      # image (lo, hi) of [c, d] under t -> -t
+    mirror_arg: Callable | None = None  # pdf argument of a reflected term
+    span: Callable | None = None        # (lo, hi, cl, ch) -> canonical Intervals
+    negate_interval: Callable | None = None
+    complement: Callable | None = None  # None: not finitely representable
 
 
 @dataclass(frozen=True)
@@ -38,29 +73,22 @@ class GroupDomain:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown domain kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind in ("Zn", "Rbox"):
-            if not isinstance(self.n, int) or self.n < 1:
+        row = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if row is None:
+            raise ParameterError(f"unknown domain kind {self.kind!r}; expected one of {tuple(_KINDS)}")
+        if row.sized:
+            if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
                 raise ParameterError(f"domain {self.kind} needs a positive integer n, got {self.n!r}")
         elif self.n is not None:
             raise ParameterError(f"domain {self.kind} takes no n parameter")
 
     @property
     def discrete(self) -> bool:
-        return self.kind in ("Z", "Zn")
+        """Measures here are atoms only (Z and Zn)."""
+        return _KINDS[self.kind].payload == "indices"
 
     def describe(self) -> str:
-        if self.kind == "Zn":
-            return f"Z_{self.n}"
-        if self.kind == "Rbox":
-            return f"R^{self.n}"
-        return {"R": "R", "Z": "Z", "T": "T"}[self.kind]
-
-
-REAL_LINE = GroupDomain("R")
-INTEGERS = GroupDomain("Z")
-CIRCLE = GroupDomain("T")
+        return _KINDS[self.kind].label.format(n=self.n)
 
 
 def cyclic(n: int) -> GroupDomain:
@@ -78,38 +106,12 @@ def check_same_domain(a: GroupDomain, b: GroupDomain, what: str = "operands"):
 
 def canonical_point(domain: GroupDomain, t):
     """Map a location into the domain's canonical fundamental set."""
-    if domain.kind == "R":
-        v = float(t)
-        if not math.isfinite(v):
-            raise ParameterError(f"real-line location must be finite, got {t!r}")
-        return v
-    if domain.kind == "Z":
-        return _as_index(t)
-    if domain.kind == "T":
-        v = float(t)
-        if not math.isfinite(v):
-            raise ParameterError(f"circle location must be finite, got {t!r}")
-        x = v % TWO_PI
-        # float modulo can land exactly on 2*pi for tiny negative inputs
-        if x >= TWO_PI:
-            x = 0.0
-        return x
-    if domain.kind == "Zn":
-        return _as_index(t) % domain.n
-    raise UnsupportedDomainError("points on Rbox are vectors; use tuple coordinates directly")
+    return _KINDS[domain.kind].point(domain, t)
 
 
 def negate_point(domain: GroupDomain, t):
     """The group inverse of a canonical location, canonicalized again."""
-    if domain.kind == "R":
-        return -float(t)
-    if domain.kind == "Z":
-        return -_as_index(t)
-    if domain.kind == "T":
-        return canonical_point(domain, -float(t))
-    if domain.kind == "Zn":
-        return (-_as_index(t)) % domain.n
-    raise UnsupportedDomainError("points on Rbox are vectors; negate coordinatewise")
+    return _KINDS[domain.kind].negate(domain, t)
 
 
 def _as_index(t) -> int:
@@ -117,10 +119,34 @@ def _as_index(t) -> int:
         raise ParameterError("atom location must be an integer, got a bool")
     if isinstance(t, int):
         return t
-    f = float(t)
-    if f != int(f):
-        raise ParameterError(f"atom location {t!r} is not an integer")
+    return _integer(t, "atom location {x!r} is not an integer")
+
+
+def _integer(x, message: str, **names) -> int:
+    """x as an int; ParameterError with the message unless x is integral."""
+    f = float(x)
+    if not f.is_integer():
+        raise ParameterError(message.format(x=x, **names))
     return int(f)
+
+
+def _finite(t, where: str) -> float:
+    v = float(t)
+    if not math.isfinite(v):
+        raise ParameterError(f"{where} location must be finite, got {t!r}")
+    return v
+
+
+def _circle_point(domain: GroupDomain, t) -> float:
+    x = _finite(t, "circle") % TWO_PI
+    # float modulo can land exactly on 2*pi for tiny negative inputs
+    return 0.0 if x >= TWO_PI else x
+
+
+def _refuse(message: str) -> Callable:
+    def refuse(*args):
+        raise UnsupportedDomainError(message)
+    return refuse
 
 
 # ---------------------------------------------------------------------------
@@ -188,202 +214,19 @@ def _merge_intervals(items: list[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def _complement_intervals(items: tuple[Interval, ...], lo: float, hi: float,
-                          closed_lo: bool, closed_hi: bool) -> tuple[Interval, ...]:
-    """Complement of a merged interval union inside the ambient [lo, hi]."""
+def _complement_intervals(items: tuple[Interval, ...], whole: Interval) -> tuple[Interval, ...]:
+    """Complement of a merged interval union inside the ambient interval."""
     out: list[Interval] = []
-    cur, cur_closed = lo, closed_lo
+    cur, cur_closed = whole.lo, whole.closed_lo
     for iv in items:
         gap = Interval(cur, iv.lo, cur_closed, not iv.closed_lo)
         if not gap.is_empty():
             out.append(gap)
         cur, cur_closed = iv.hi, not iv.closed_hi
-    tail = Interval(cur, hi, cur_closed, closed_hi)
+    tail = Interval(cur, whole.hi, cur_closed, whole.closed_hi)
     if not tail.is_empty():
         out.append(tail)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Borel sets
-
-
-@dataclass(frozen=True)
-class BorelSet:
-    """A finitely describable Borel subset of one group domain.
-
-    Exactly one payload field is meaningful, chosen by ``domain.kind``:
-    ``intervals`` on R and T, ``indices`` on Z and Zn, ``boxes`` on Rbox
-    (each box is a tuple of per-axis intervals). Instances are
-    normalized: intervals merged and sorted, T arcs folded into
-    [0, 2*pi), residues reduced mod n.
-    """
-
-    domain: GroupDomain
-    intervals: tuple[Interval, ...] = ()
-    indices: frozenset[int] = field(default_factory=frozenset)
-    boxes: tuple[tuple[Interval, ...], ...] = ()
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def empty(domain: GroupDomain) -> "BorelSet":
-        return BorelSet(domain)
-
-    @staticmethod
-    def from_intervals(domain: GroupDomain, spans) -> "BorelSet":
-        """Build from (lo, hi) or (lo, hi, closed_lo, closed_hi) tuples."""
-        if domain.kind not in ("R", "T"):
-            raise UnsupportedDomainError(f"interval sets are not defined on {domain.describe()}")
-        ivs = []
-        for span in spans:
-            if len(span) == 2:
-                lo, hi = span
-                cl = ch = True
-            else:
-                lo, hi, cl, ch = span
-            lo, hi = float(lo), float(hi)
-            if domain.kind == "T":
-                ivs.extend(_fold_arc(lo, hi, cl, ch))
-            else:
-                if math.isinf(lo):
-                    cl = False
-                if math.isinf(hi):
-                    ch = False
-                ivs.append(Interval(lo, hi, cl, ch))
-        return BorelSet(domain, intervals=_merge_intervals(ivs))
-
-    @staticmethod
-    def points(domain: GroupDomain, locations) -> "BorelSet":
-        if domain.kind in ("Z", "Zn"):
-            return BorelSet.from_indices(domain, locations)
-        if domain.kind in ("R", "T"):
-            pts = [canonical_point(domain, t) for t in locations]
-            return BorelSet(domain, intervals=_merge_intervals(
-                [Interval(p, p, True, True) for p in pts]))
-        raise UnsupportedDomainError("point sets on Rbox are not supported")
-
-    @staticmethod
-    def from_indices(domain: GroupDomain, ks) -> "BorelSet":
-        if domain.kind not in ("Z", "Zn"):
-            raise UnsupportedDomainError(f"index sets are not defined on {domain.describe()}")
-        return BorelSet(domain, indices=frozenset(canonical_point(domain, k) for k in ks))
-
-    @staticmethod
-    def box(domain: GroupDomain, axis_spans) -> "BorelSet":
-        """One axis-aligned box in Rbox; spans as in from_intervals."""
-        if domain.kind != "Rbox":
-            raise UnsupportedDomainError("box sets only exist on Rbox domains")
-        if len(axis_spans) != domain.n:
-            raise ParameterError(f"expected {domain.n} axis spans, got {len(axis_spans)}")
-        axes = []
-        for span in axis_spans:
-            if len(span) == 2:
-                lo, hi = span
-                cl = ch = True
-            else:
-                lo, hi, cl, ch = span
-            lo, hi = float(lo), float(hi)
-            axes.append(Interval(lo, hi, cl and not math.isinf(lo), ch and not math.isinf(hi)))
-        b = tuple(axes)
-        if any(iv.is_empty() for iv in b):
-            return BorelSet(domain)
-        return BorelSet(domain, boxes=(b,))
-
-    @staticmethod
-    def whole(domain: GroupDomain) -> "BorelSet":
-        if domain.kind == "R":
-            return BorelSet.from_intervals(domain, [(-math.inf, math.inf, False, False)])
-        if domain.kind == "T":
-            return BorelSet(domain, intervals=(Interval(0.0, TWO_PI, True, False),))
-        if domain.kind == "Zn":
-            return BorelSet(domain, indices=frozenset(range(domain.n)))
-        if domain.kind == "Rbox":
-            return BorelSet(domain, boxes=(tuple(
-                Interval(-math.inf, math.inf, False, False) for _ in range(domain.n)),))
-        raise UnsupportedDomainError("the whole of Z is not finitely representable here")
-
-    # -- predicates ----------------------------------------------------
-
-    def is_empty(self) -> bool:
-        if self.domain.kind in ("R", "T"):
-            return not self.intervals
-        if self.domain.kind in ("Z", "Zn"):
-            return not self.indices
-        return not self.boxes
-
-    def contains_point(self, t) -> bool:
-        if self.domain.kind in ("Z", "Zn"):
-            return canonical_point(self.domain, t) in self.indices
-        if self.domain.kind in ("R", "T"):
-            x = canonical_point(self.domain, t)
-            return any(iv.contains(x) for iv in self.intervals)
-        coords = tuple(float(c) for c in t)
-        if len(coords) != self.domain.n:
-            raise ParameterError(f"point has {len(coords)} coordinates, domain has {self.domain.n}")
-        return any(all(iv.contains(c) for iv, c in zip(b, coords)) for b in self.boxes)
-
-    # -- algebra ---------------------------------------------------------
-
-    def union(self, other: "BorelSet") -> "BorelSet":
-        check_same_domain(self.domain, other.domain, "sets")
-        if self.domain.kind in ("R", "T"):
-            return BorelSet(self.domain, intervals=_merge_intervals(
-                list(self.intervals) + list(other.intervals)))
-        if self.domain.kind in ("Z", "Zn"):
-            return BorelSet(self.domain, indices=self.indices | other.indices)
-        return BorelSet(self.domain, boxes=self.boxes + other.boxes)
-
-    def intersect(self, other: "BorelSet") -> "BorelSet":
-        check_same_domain(self.domain, other.domain, "sets")
-        if self.domain.kind in ("R", "T"):
-            pieces = [a.intersect(b) for a in self.intervals for b in other.intervals]
-            return BorelSet(self.domain, intervals=_merge_intervals(pieces))
-        if self.domain.kind in ("Z", "Zn"):
-            return BorelSet(self.domain, indices=self.indices & other.indices)
-        hits = []
-        for b1 in self.boxes:
-            for b2 in other.boxes:
-                cand = tuple(a.intersect(b) for a, b in zip(b1, b2))
-                if not any(iv.is_empty() for iv in cand):
-                    hits.append(cand)
-        return BorelSet(self.domain, boxes=tuple(hits))
-
-    def complement(self) -> "BorelSet":
-        if self.domain.kind == "R":
-            return BorelSet(self.domain, intervals=_complement_intervals(
-                self.intervals, -math.inf, math.inf, False, False))
-        if self.domain.kind == "T":
-            return BorelSet(self.domain, intervals=_complement_intervals(
-                self.intervals, 0.0, TWO_PI, True, False))
-        if self.domain.kind == "Zn":
-            return BorelSet(self.domain, indices=frozenset(range(self.domain.n)) - self.indices)
-        raise UnsupportedDomainError(
-            f"complement is not finitely representable on {self.domain.describe()}")
-
-    def negate(self) -> "BorelSet":
-        """The pointwise group-inverse image {-t : t in set}."""
-        if self.domain.kind == "R":
-            return BorelSet(self.domain, intervals=_merge_intervals(
-                [iv.negated() for iv in self.intervals]))
-        if self.domain.kind == "T":
-            out: list[Interval] = []
-            for iv in self.intervals:
-                out.extend(_negate_arc(iv))
-            return BorelSet(self.domain, intervals=_merge_intervals(out))
-        if self.domain.kind in ("Z", "Zn"):
-            return BorelSet(self.domain, indices=frozenset(
-                negate_point(self.domain, k) for k in self.indices))
-        return BorelSet(self.domain, boxes=tuple(
-            tuple(iv.negated() for iv in b) for b in self.boxes))
-
-    def boxes_pairwise_disjoint(self) -> bool:
-        for i in range(len(self.boxes)):
-            for j in range(i + 1, len(self.boxes)):
-                cand = [a.intersect(b) for a, b in zip(self.boxes[i], self.boxes[j])]
-                if not any(iv.is_empty() for iv in cand):
-                    return False
-        return True
 
 
 def _fold_arc(lo: float, hi: float, cl: bool, ch: bool) -> list[Interval]:
@@ -421,3 +264,218 @@ def _negate_arc(iv: Interval) -> list[Interval]:
             new_lo, ncl = 0.0, False
         out.append(Interval(new_lo, new_hi, ncl, nch))
     return out
+
+
+def _line_span(lo: float, hi: float, cl: bool, ch: bool) -> list[Interval]:
+    """An interval on R; infinite ends are open."""
+    if math.isinf(lo):
+        cl = False
+    if math.isinf(hi):
+        ch = False
+    return [Interval(lo, hi, cl, ch)]
+
+
+def _parse_span(span) -> tuple[float, float, bool, bool]:
+    """(lo, hi) or (lo, hi, closed_lo, closed_hi); two ends default closed."""
+    lo, hi, cl, ch = (*span, True, True) if len(span) == 2 else span
+    return float(lo), float(hi), cl, ch
+
+
+# ---------------------------------------------------------------------------
+# Borel sets
+
+
+@dataclass(frozen=True)
+class BorelSet:
+    """A finitely describable Borel subset of one group domain.
+
+    Exactly one payload field is meaningful, chosen by ``domain.kind``:
+    ``intervals`` on R and T, ``indices`` on Z and Zn, ``boxes`` on Rbox
+    (each box is a tuple of per-axis intervals). Instances are
+    normalized: intervals merged and sorted, T arcs folded into
+    [0, 2*pi), residues reduced mod n.
+    """
+
+    domain: GroupDomain
+    intervals: tuple[Interval, ...] = ()
+    indices: frozenset[int] = field(default_factory=frozenset)
+    boxes: tuple[tuple[Interval, ...], ...] = ()
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def empty(domain: GroupDomain) -> "BorelSet":
+        return BorelSet(domain)
+
+    @staticmethod
+    def from_intervals(domain: GroupDomain, spans) -> "BorelSet":
+        """Build from (lo, hi) or (lo, hi, closed_lo, closed_hi) tuples."""
+        span = _KINDS[domain.kind].span
+        if span is None:
+            raise UnsupportedDomainError(f"interval sets are not defined on {domain.describe()}")
+        return BorelSet(domain, intervals=_merge_intervals(
+            [iv for s in spans for iv in span(*_parse_span(s))]))
+
+    @staticmethod
+    def points(domain: GroupDomain, locations) -> "BorelSet":
+        payload = _KINDS[domain.kind].payload
+        if payload == "indices":
+            return BorelSet.from_indices(domain, locations)
+        if payload == "intervals":
+            pts = [canonical_point(domain, t) for t in locations]
+            return BorelSet(domain, intervals=_merge_intervals(
+                [Interval(p, p, True, True) for p in pts]))
+        raise UnsupportedDomainError("point sets on Rbox are not supported")
+
+    @staticmethod
+    def from_indices(domain: GroupDomain, ks) -> "BorelSet":
+        if not domain.discrete:
+            raise UnsupportedDomainError(f"index sets are not defined on {domain.describe()}")
+        return BorelSet(domain, indices=frozenset(canonical_point(domain, k) for k in ks))
+
+    @staticmethod
+    def box(domain: GroupDomain, axis_spans) -> "BorelSet":
+        """One axis-aligned box in Rbox; spans as in from_intervals."""
+        if _KINDS[domain.kind].payload != "boxes":
+            raise UnsupportedDomainError("box sets only exist on Rbox domains")
+        if len(axis_spans) != domain.n:
+            raise ParameterError(f"expected {domain.n} axis spans, got {len(axis_spans)}")
+        b = tuple(_line_span(*_parse_span(span))[0] for span in axis_spans)
+        if any(iv.is_empty() for iv in b):
+            return BorelSet(domain)
+        return BorelSet(domain, boxes=(b,))
+
+    @staticmethod
+    def whole(domain: GroupDomain) -> "BorelSet":
+        return _KINDS[domain.kind].whole(domain)
+
+    # -- predicates ----------------------------------------------------
+    # Only the payload of the set's kind is ever non-empty, so each
+    # operation below runs on all three payloads at once.
+
+    def is_empty(self) -> bool:
+        return not (self.intervals or self.indices or self.boxes)
+
+    def contains_point(self, t) -> bool:
+        if _KINDS[self.domain.kind].payload == "boxes":
+            coords = tuple(float(c) for c in t)
+            if len(coords) != self.domain.n:
+                raise ParameterError(f"point has {len(coords)} coordinates, domain has {self.domain.n}")
+            return any(all(iv.contains(c) for iv, c in zip(b, coords)) for b in self.boxes)
+        x = canonical_point(self.domain, t)
+        return x in self.indices or any(iv.contains(x) for iv in self.intervals)
+
+    # -- algebra ---------------------------------------------------------
+
+    def union(self, other: "BorelSet") -> "BorelSet":
+        check_same_domain(self.domain, other.domain, "sets")
+        return BorelSet(self.domain, _merge_intervals(self.intervals + other.intervals),
+                        self.indices | other.indices, self.boxes + other.boxes)
+
+    def intersect(self, other: "BorelSet") -> "BorelSet":
+        check_same_domain(self.domain, other.domain, "sets")
+        pieces = [a.intersect(b) for a in self.intervals for b in other.intervals]
+        hits = []
+        for b1 in self.boxes:
+            for b2 in other.boxes:
+                cand = tuple(a.intersect(b) for a, b in zip(b1, b2))
+                if not any(iv.is_empty() for iv in cand):
+                    hits.append(cand)
+        return BorelSet(self.domain, _merge_intervals(pieces),
+                        self.indices & other.indices, tuple(hits))
+
+    def complement(self) -> "BorelSet":
+        complement = _KINDS[self.domain.kind].complement
+        if complement is None:
+            raise UnsupportedDomainError(
+                f"complement is not finitely representable on {self.domain.describe()}")
+        return complement(self)
+
+    def negate(self) -> "BorelSet":
+        """The pointwise group-inverse image {-t : t in set}."""
+        negate_interval = _KINDS[self.domain.kind].negate_interval
+        return BorelSet(
+            self.domain,
+            _merge_intervals([p for iv in self.intervals for p in negate_interval(iv)]),
+            frozenset(negate_point(self.domain, k) for k in self.indices),
+            tuple(tuple(iv.negated() for iv in b) for b in self.boxes))
+
+    def boxes_pairwise_disjoint(self) -> bool:
+        for i in range(len(self.boxes)):
+            for j in range(i + 1, len(self.boxes)):
+                cand = [a.intersect(b) for a, b in zip(self.boxes[i], self.boxes[j])]
+                if not any(iv.is_empty() for iv in cand):
+                    return False
+        return True
+
+
+# ---------------------------------------------------------------------------
+# the group data, one row per kind
+
+_LINE = Interval(-math.inf, math.inf, False, False)
+_ARC = Interval(0.0, TWO_PI, True, False)
+
+
+_KINDS: dict[str, _Kind] = {
+    "R": _Kind(
+        label="R", sized=False, payload="intervals",
+        point=lambda d, t: _finite(t, "real-line"),
+        negate=lambda d, t: -float(t),
+        dual=lambda d, x: float(x),
+        dual_grid=lambda d, count: list(np.linspace(-20.0, 20.0, count)),
+        circular=False,
+        mirror=lambda c, d: (-d, -c),
+        mirror_arg=operator.neg,
+        span=_line_span,
+        negate_interval=lambda iv: [iv.negated()],
+        whole=lambda d: BorelSet(d, intervals=(_LINE,)),
+        complement=lambda s: BorelSet(
+            s.domain, intervals=_complement_intervals(s.intervals, _LINE))),
+    "Z": _Kind(
+        label="Z", sized=False, payload="indices",
+        point=lambda d, t: _as_index(t),
+        negate=lambda d, t: -_as_index(t),
+        dual=lambda d, x: float(x),
+        dual_grid=lambda d, count: list(
+            np.linspace(-math.pi, math.pi, count, endpoint=False)),
+        whole=_refuse("the whole of Z is not finitely representable here")),
+    "T": _Kind(
+        label="T", sized=False, payload="intervals",
+        point=_circle_point,
+        negate=lambda d, t: canonical_point(d, -float(t)),
+        dual=lambda d, x: _integer(x, "the dual of T is Z; got non-integer frequency {x!r}"),
+        dual_grid=lambda d, count: list(range(-(count // 2), count - count // 2)),
+        integer_dual=True,
+        circular=True,
+        mirror=lambda c, d: (TWO_PI - d, TWO_PI - c),
+        mirror_arg=lambda t: (TWO_PI - t) % TWO_PI,
+        span=_fold_arc,
+        negate_interval=_negate_arc,
+        whole=lambda d: BorelSet(d, intervals=(_ARC,)),
+        complement=lambda s: BorelSet(
+            s.domain, intervals=_complement_intervals(s.intervals, _ARC))),
+    "Zn": _Kind(
+        label="Z_{n}", sized=True, payload="indices",
+        point=lambda d, t: _as_index(t) % d.n,
+        negate=lambda d, t: (-_as_index(t)) % d.n,
+        dual=lambda d, x: _integer(
+            x, "the dual of Z_{n} needs integer residues, got {x!r}", n=d.n) % d.n,
+        dual_grid=lambda d, count: list(range(min(d.n, count))),
+        phase=lambda d, t, x: cmath.exp(2j * math.pi * (t * x) / d.n),
+        integer_dual=True,
+        whole=lambda d: BorelSet(d, indices=frozenset(range(d.n))),
+        complement=lambda s: BorelSet(
+            s.domain, indices=frozenset(range(s.domain.n)) - s.indices)),
+    "Rbox": _Kind(
+        label="R^{n}", sized=True, payload="boxes",
+        point=_refuse("points on Rbox are vectors; use tuple coordinates directly"),
+        negate=_refuse("points on Rbox are vectors; negate coordinatewise"),
+        dual=_refuse("transforms on Rbox products are outside the representation; "
+                     "use the support criterion for classification there"),
+        dual_grid=_refuse("no dual grid on Rbox products"),
+        whole=lambda d: BorelSet(d, boxes=(tuple(_LINE for _ in range(d.n)),))),
+}
+
+REAL_LINE = GroupDomain("R")
+INTEGERS = GroupDomain("Z")
+CIRCLE = GroupDomain("T")

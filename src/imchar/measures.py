@@ -24,8 +24,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from imchar import densities
-from imchar.domains import (TWO_PI, BorelSet, GroupDomain, canonical_point,
-                            check_same_domain, negate_point)
+from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain,
+                            canonical_point, check_same_domain, negate_point)
 from imchar.errors import (ParameterError, PreconditionError,
                            UnsupportedDomainError)
 from imchar.quadrature import QuadResult, integrate_fn
@@ -102,11 +102,11 @@ class SignedMeasure:
         else:
             if self.factors:
                 raise ParameterError(f"factors are only defined on Rbox, not {k}")
-            if k in ("Z", "Zn") and self.density:
+            if self.domain.discrete and self.density:
                 raise ParameterError(f"measures on {self.domain.describe()} are purely atomic")
 
     def is_zero(self) -> bool:
-        if self.domain.kind == "Rbox":
+        if self.factors:
             return any(f.is_zero() for f in self.factors)
         return not self.atoms and not self.density
 
@@ -130,8 +130,6 @@ def build_measure(domain: GroupDomain, atoms=(), segments=(), factors=()) -> Sig
     for a in out_atoms:
         if not math.isfinite(a.w):
             raise ParameterError(f"atom weight at {a.t} is not finite")
-        if domain.kind == "R" and not math.isfinite(a.t):
-            raise ParameterError("atoms on R need finite locations")
     out_segs = _normalize_segments(domain, segments)
     return SignedMeasure(domain, out_atoms, out_segs)
 
@@ -140,13 +138,14 @@ def _normalize_segments(domain: GroupDomain, segments) -> tuple[DensitySegment, 
     segs = list(segments)
     if not segs:
         return ()
-    if domain.kind in ("Z", "Zn"):
+    if domain.discrete:
         raise ParameterError(f"density segments are not allowed on {domain.describe()}")
+    circular = _KINDS[domain.kind].circular
     for s in segs:
         lo, hi = s.lower, s.upper
         if math.isnan(lo) or math.isnan(hi) or lo > hi:
             raise ParameterError(f"bad segment bounds [{lo}, {hi}]")
-        if domain.kind == "T" and not (0.0 <= lo and hi <= TWO_PI):
+        if circular and not (0.0 <= lo and hi <= TWO_PI):
             raise ParameterError(f"circle segment [{lo}, {hi}] must sit inside [0, 2*pi]")
         if s.coeffs and any(c != 0.0 for c in s.coeffs) and (math.isinf(lo) or math.isinf(hi)):
             raise ParameterError("polynomial terms need finite segment bounds")
@@ -208,10 +207,9 @@ def named_density_measure(domain: GroupDomain, name: str, params: dict,
     """A measure whose density is ``weight`` times a named family pdf."""
     nt = _named(name, params, weight)
     fam = densities.family(name)
-    if fam.circular and domain.kind != "T":
-        raise ParameterError(f"density family {name!r} lives on the circle")
-    if not fam.circular and domain.kind != "R":
-        raise ParameterError(f"density family {name!r} lives on the real line")
+    if fam.circular != _KINDS[domain.kind].circular:
+        home = "the circle" if fam.circular else "the real line"
+        raise ParameterError(f"density family {name!r} lives on {home}")
     lo, hi = fam.support(params) if support is None else support
     seg = DensitySegment(float(lo), float(hi), None, (nt,))
     return build_measure(domain, segments=[seg])
@@ -235,12 +233,8 @@ def segment_value(domain: GroupDomain, seg: DensitySegment, t) -> np.ndarray:
         out += npoly.polyval(t, seg.coeffs)
     for nt in seg.named:
         fam = densities.family(nt.name)
-        if not nt.reflected:
-            out += nt.weight * fam.pdf(nt.params_dict, t)
-        elif domain.kind == "T":
-            out += nt.weight * fam.pdf(nt.params_dict, (TWO_PI - t) % TWO_PI)
-        else:
-            out += nt.weight * fam.pdf(nt.params_dict, -t)
+        arg = _KINDS[domain.kind].mirror_arg(t) if nt.reflected else t
+        out += nt.weight * fam.pdf(nt.params_dict, arg)
     return out
 
 
@@ -264,10 +258,7 @@ def _named_term_mass(domain: GroupDomain, nt: NamedTerm, c: float, d: float) -> 
     fam = densities.family(nt.name)
     params = nt.params_dict
     if nt.reflected:
-        if domain.kind == "T":
-            c, d = TWO_PI - d, TWO_PI - c
-        else:
-            c, d = -d, -c
+        c, d = _KINDS[domain.kind].mirror(c, d)
     slo, shi = fam.support(params)
     lo, hi = max(c, slo), min(d, shi)
     if lo >= hi:
@@ -408,7 +399,7 @@ def _fuse_same_sign(pieces):
 
 def mass(m: SignedMeasure) -> float:
     """Signed total mass m(G)."""
-    if m.domain.kind == "Rbox":
+    if m.factors:
         return math.prod(mass(f) for f in m.factors)
     total = math.fsum(a.w for a in m.atoms)
     return total + math.fsum(
@@ -420,7 +411,7 @@ def total_variation(m: SignedMeasure) -> float:
     cached = m.__dict__.get("_tv_cache")
     if cached is not None:
         return cached
-    if m.domain.kind == "Rbox":
+    if m.factors:
         tv = math.prod(total_variation(f) for f in m.factors)
     else:
         parts = [math.fsum(abs(a.w) for a in m.atoms)]
@@ -435,7 +426,7 @@ def total_variation(m: SignedMeasure) -> float:
 
 def scale(m: SignedMeasure, c: float) -> SignedMeasure:
     c = float(c)
-    if m.domain.kind == "Rbox":
+    if m.factors:
         if c == 1.0:
             return m
         raise UnsupportedDomainError("product measures cannot be rescaled")
@@ -451,7 +442,7 @@ def scale(m: SignedMeasure, c: float) -> SignedMeasure:
 
 def add(a: SignedMeasure, b: SignedMeasure) -> SignedMeasure:
     check_same_domain(a.domain, b.domain, "measures")
-    if a.domain.kind == "Rbox":
+    if a.factors:
         raise UnsupportedDomainError("sums of product measures are not representable")
     return build_measure(a.domain,
                          [(x.t, x.w) for x in a.atoms] + [(x.t, x.w) for x in b.atoms],
@@ -464,15 +455,12 @@ def subtract(a: SignedMeasure, b: SignedMeasure) -> SignedMeasure:
 
 def reflect(m: SignedMeasure) -> SignedMeasure:
     """The pushforward of m under t -> -t."""
-    if m.domain.kind == "Rbox":
+    if m.factors:
         return SignedMeasure(m.domain, factors=tuple(reflect(f) for f in m.factors))
     atoms = [(negate_point(m.domain, a.t), a.w) for a in m.atoms]
     segs = []
     for s in m.density:
-        if m.domain.kind == "T":
-            lo, hi = TWO_PI - s.upper, TWO_PI - s.lower
-        else:
-            lo, hi = -s.upper, -s.lower
+        lo, hi = _KINDS[m.domain.kind].mirror(s.lower, s.upper)
         coeffs = None
         if s.coeffs:
             coeffs = tuple((c if i % 2 == 0 else -c) for i, c in enumerate(s.coeffs))
@@ -485,8 +473,7 @@ def reflect(m: SignedMeasure) -> SignedMeasure:
 def measure_of(m: SignedMeasure, s: BorelSet) -> float:
     """m(S) for a finitely described Borel set on the same domain."""
     check_same_domain(m.domain, s.domain, "measure and set")
-    kind = m.domain.kind
-    if kind == "Rbox":
+    if m.factors:
         if not s.boxes_pairwise_disjoint():
             raise ParameterError("Rbox sets must have pairwise disjoint boxes "
                                  "to be measured")
@@ -499,7 +486,7 @@ def measure_of(m: SignedMeasure, s: BorelSet) -> float:
                 per_axis.append(measure_of(f, axis_set))
             total += math.prod(per_axis)
         return total
-    if kind in ("Z", "Zn"):
+    if m.domain.discrete:
         return math.fsum(a.w for a in m.atoms if a.t in s.indices)
     parts = [math.fsum(a.w for a in m.atoms if s.contains_point(a.t))]
     for seg in m.density:

@@ -26,8 +26,8 @@ import json
 import math
 
 from imchar import jsonio
-from imchar.domains import BorelSet, GroupDomain, Interval
-from imchar.errors import FormatError, ImcharError
+from imchar.domains import _KINDS, BorelSet, GroupDomain, Interval
+from imchar.errors import FormatError, ImcharError, ParameterError
 from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure,
                              build_measure, _named)
 
@@ -55,7 +55,7 @@ def domain_to_obj(d: GroupDomain) -> dict:
 
 def measure_to_obj(m: SignedMeasure) -> dict:
     obj: dict = {"domain": domain_to_obj(m.domain)}
-    if m.domain.kind == "Rbox":
+    if m.factors:
         obj["factors"] = [measure_to_obj(f) for f in m.factors]
         return obj
     obj["atoms"] = [{"t": a.t, "w": a.w} for a in m.atoms]
@@ -107,23 +107,15 @@ def measure_from_obj(obj, path: str = "$") -> SignedMeasure:
     dom_obj = obj.get("domain")
     if not isinstance(dom_obj, dict):
         _fail(path + ".domain", "missing or not an object")
-    kind = dom_obj.get("kind")
-    if kind not in ("R", "Z", "T", "Zn", "Rbox"):
-        _fail(path + ".domain.kind", f"unknown kind {kind!r}")
-    n = dom_obj.get("n")
-    if kind in ("Zn", "Rbox"):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            _fail(path + ".domain.n", f"{kind} needs a positive integer n")
-        domain = GroupDomain(kind, n)
-    else:
-        if n is not None:
-            _fail(path + ".domain.n", f"domain {kind} takes no n")
-        domain = GroupDomain(kind)
+    try:
+        domain = GroupDomain(dom_obj.get("kind"), dom_obj.get("n"))
+    except ParameterError as exc:
+        raise FormatError(f"{path}.domain: {exc}") from exc
 
-    if kind == "Rbox":
+    if domain.kind == "Rbox":
         factors = obj.get("factors")
-        if not isinstance(factors, list) or len(factors) != n:
-            _fail(path + ".factors", f"Rbox measure needs a list of {n} factor measures")
+        if not isinstance(factors, list) or len(factors) != domain.n:
+            _fail(path + ".factors", f"Rbox measure needs a list of {domain.n} factor measures")
         built = [measure_from_obj(f, f"{path}.factors[{i}]") for i, f in enumerate(factors)]
         for i, f in enumerate(built):
             if f.domain.kind != "R":
@@ -140,9 +132,9 @@ def measure_from_obj(obj, path: str = "$") -> SignedMeasure:
             _fail(p, 'expected an object with "t" and "w"')
         t = _get_number(entry["t"], p + ".t")
         w = _get_number(entry["w"], p + ".w")
-        if kind in ("Z", "Zn") and t != int(t):
+        if domain.discrete and t != int(t):
             _fail(p + ".t", f"locations on {domain.describe()} must be integers")
-        atoms.append((int(t) if kind in ("Z", "Zn") else t, w))
+        atoms.append((t, w))
 
     segments = []
     raw_density = obj.get("density", [])
@@ -213,12 +205,8 @@ def _interval_row(iv: Interval) -> list:
 
 
 def set_to_obj(s: BorelSet) -> dict:
-    obj: dict = {"domain": domain_to_obj(s.domain)}
-    k = s.domain.kind
-    if k in ("R", "T"):
-        obj["intervals"] = [_interval_row(iv) for iv in s.intervals]
-    elif k in ("Z", "Zn"):
-        obj["indices"] = sorted(s.indices)
-    else:
-        obj["boxes"] = [[_interval_row(iv) for iv in box] for box in s.boxes]
-    return obj
+    payload = _KINDS[s.domain.kind].payload
+    rows = {"intervals": [_interval_row(iv) for iv in s.intervals],
+            "indices": sorted(s.indices),
+            "boxes": [[_interval_row(iv) for iv in box] for box in s.boxes]}
+    return {"domain": domain_to_obj(s.domain), payload: rows[payload]}

@@ -1,11 +1,13 @@
 """Command line surface: subcommands, exit codes, output contracts."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import imchar
 from imchar.cli import main
 
 
@@ -174,9 +176,24 @@ def test_no_subcommand_prints_help(capsys):
     assert code == 1 and "usage" in err.lower()
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(imchar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "imchar.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_console_script_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "imchar.cli", "classify", "--dist", "poisson"],
-        capture_output=True, text=True)
+    proc = run_subprocess("classify", "--dist", "poisson")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["determined"] is False
+
+
+@pytest.mark.parametrize("location", ["inf", "nan"])
+def test_non_finite_sigma_pair_on_integers_is_an_input_error(location):
+    proc = run_subprocess("companion", "--dist", "poisson", "--sigma", f"pair:{location}")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

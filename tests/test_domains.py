@@ -3,11 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from imchar.charfn import default_dual_grid, eval_cf
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, BorelSet, GroupDomain,
                             Interval, canonical_point, cyclic, negate_point,
                             real_box)
 from imchar.errors import ParameterError, UnsupportedDomainError
+from imchar.measures import point_mass, product_measure
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,3 +168,77 @@ def test_points_and_empty():
     assert BorelSet.empty(REAL_LINE).is_empty()
     assert not BorelSet.whole(REAL_LINE).is_empty()
     assert BorelSet.whole(cyclic(3)).indices == frozenset({0, 1, 2})
+
+
+def _outcome(call):
+    try:
+        call()
+    except (UnsupportedDomainError, ParameterError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def _measure_on(domain):
+    if domain.kind == "Rbox":
+        return product_measure([point_mass(REAL_LINE, 0.0)] * domain.n)
+    return point_mass(domain, 0)
+
+
+OK, PE, UE = "ok", "ParameterError", "UnsupportedDomainError"
+
+
+@pytest.mark.parametrize("domain,expected", [
+    # canonical, negate, cf(1), cf(0.5), grid, whole, complement,
+    # from_intervals, from_indices, points, box
+    (REAL_LINE, (OK, OK, OK, OK, OK, OK, OK, OK, UE, OK, UE)),
+    (INTEGERS, (OK, OK, OK, OK, OK, UE, UE, UE, OK, OK, UE)),
+    (CIRCLE, (OK, OK, OK, PE, OK, OK, OK, OK, UE, OK, UE)),
+    (cyclic(5), (OK, OK, OK, PE, OK, OK, OK, UE, OK, OK, UE)),
+    (real_box(2), (UE, UE, UE, UE, UE, OK, UE, UE, UE, UE, OK)),
+], ids=lambda v: v.describe() if isinstance(v, GroupDomain) else "")
+def test_per_kind_refusal_matrix(domain, expected):
+    m = _measure_on(domain)
+    calls = (
+        lambda: canonical_point(domain, 1),
+        lambda: negate_point(domain, 1),
+        lambda: eval_cf(m, 1),
+        lambda: eval_cf(m, 0.5),
+        lambda: default_dual_grid(domain, 4),
+        lambda: BorelSet.whole(domain),
+        lambda: BorelSet.empty(domain).complement(),
+        lambda: BorelSet.from_intervals(domain, [(0.0, 1.0)]),
+        lambda: BorelSet.from_indices(domain, [1]),
+        lambda: BorelSet.points(domain, [1]),
+        lambda: BorelSet.box(domain, [(0.0, 1.0), (0.0, 1.0)]),
+    )
+    assert tuple(_outcome(c) for c in calls) == expected
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_negate_point_involution_on_r(t):
+    once = negate_point(REAL_LINE, canonical_point(REAL_LINE, t))
+    assert negate_point(REAL_LINE, once) == canonical_point(REAL_LINE, t)
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 64))
+def test_negate_point_involution_on_integer_groups(k, n):
+    for domain in (INTEGERS, cyclic(n)):
+        p = canonical_point(domain, k)
+        twice = negate_point(domain, negate_point(domain, p))
+        assert twice == p and type(twice) is int
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, cyclic(7)], ids=["Z", "Zn"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_index_points_rejected(domain, t):
+    with pytest.raises(ParameterError):
+        canonical_point(domain, t)
+    with pytest.raises(ParameterError):
+        negate_point(domain, t)
+
+
+def test_bool_order_rejected():
+    with pytest.raises(ParameterError):
+        GroupDomain("Zn", True)
+    with pytest.raises(ParameterError):
+        real_box(True)

@@ -1,6 +1,8 @@
 """Measure JSON codec: round trips, determinism, malformed input."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +116,12 @@ def test_load_measure_from_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
         load_measure(str(bad))
+
+
+def test_readme_measure_document_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Measure documents", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    m = loads_measure(block)
+    assert m.domain == REAL_LINE
+    assert m.atoms and m.density
