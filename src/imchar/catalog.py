@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import stats
-
 from imchar.determine import (DeterminationVerdict, is_determined,
                               support_criterion_verdict, NORM_TOLERANCE)
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, TWO_PI, BorelSet,
@@ -238,6 +236,31 @@ def _pmf_measure_tail(dist, lo: int, shift: int = 0) -> SignedMeasure:
     return build_measure(INTEGERS, atoms)
 
 
+# The four lattice builders import scipy.stats themselves: the import
+# takes about a second and nothing else in the package needs it.
+
+
+def _poisson_build(p, shift: int = 0) -> SignedMeasure:
+    from scipy import stats
+    return _pmf_measure_tail(stats.poisson(p["lam"]), 0, shift=shift)
+
+
+def _binomial_build(p) -> SignedMeasure:
+    from scipy import stats
+    return _pmf_measure_bounded(stats.binom(p["n"], p["p"]), 0, p["n"])
+
+
+def _negative_binomial_build(p) -> SignedMeasure:
+    from scipy import stats
+    return _pmf_measure_tail(stats.nbinom(p["r"], p["p"]), 0)
+
+
+def _hypergeometric_build(p) -> SignedMeasure:
+    from scipy import stats
+    return _pmf_measure_bounded(stats.hypergeom(p["N"], p["K"], p["n"]),
+                                _hypergeom_lo(p), min(p["n"], p["K"]))
+
+
 def _positive_params(*names):
     def check(p):
         for nm in names:
@@ -368,7 +391,7 @@ _register(_Entry(
 
 _register(_Entry(
     "poisson", {"lam": 1.0}, _Z,
-    lambda p: _pmf_measure_tail(stats.poisson(p["lam"]), 0),
+    _poisson_build,
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection, so the norm is 1 - exp(-lam) < 1",
     validate=_positive_params("lam")))
@@ -376,13 +399,13 @@ _register(_Entry(
 def _poisson_shifted_criterion(p):
     if p["shift"] < 1:
         return None
-    m = _pmf_measure_tail(stats.poisson(p["lam"]), 0, shift=p["shift"])
+    m = _poisson_build(p, p["shift"])
     return BorelSet.from_indices(INTEGERS, [a.t for a in m.atoms])
 
 
 _register(_Entry(
     "poisson_shifted", {"lam": 1.0, "shift": 1}, _Z,
-    lambda p: _pmf_measure_tail(stats.poisson(p["lam"]), 0, shift=p["shift"]),
+    lambda p: _poisson_build(p, p["shift"]),
     lambda p: DETERMINED if p["shift"] >= 1 else NOT_DETERMINED,
     "shifting the support into {1, 2, ...} removes the overlap at 0",
     criterion=_poisson_shifted_criterion,
@@ -390,7 +413,7 @@ _register(_Entry(
 
 _register(_Entry(
     "binomial", {"n": 5, "p": 0.4}, _Z,
-    lambda p: _pmf_measure_bounded(stats.binom(p["n"], p["p"]), 0, p["n"]),
+    _binomial_build,
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection; the norm is 1 - (1-p)^n < 1",
     int_params=("n",),
@@ -398,7 +421,7 @@ _register(_Entry(
 
 _register(_Entry(
     "negative_binomial", {"r": 2.0, "p": 0.5}, _Z,
-    lambda p: _pmf_measure_tail(stats.nbinom(p["r"], p["p"]), 0),
+    _negative_binomial_build,
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection; the norm is 1 - p^r < 1",
     validate=_and(_positive_params("r"), _prob_param("p"))))
@@ -415,8 +438,7 @@ def _hypergeom_validate(p):
 
 _register(_Entry(
     "hypergeometric", {"N": 10, "K": 4, "n": 3}, _Z,
-    lambda p: _pmf_measure_bounded(stats.hypergeom(p["N"], p["K"], p["n"]),
-                                   _hypergeom_lo(p), min(p["n"], p["K"])),
+    _hypergeometric_build,
     lambda p: DETERMINED if _hypergeom_lo(p) >= 1 else NOT_DETERMINED,
     "determined exactly when the support's lower end n+K-N clears 0",
     criterion=lambda p: None if _hypergeom_lo(p) < 1 else BorelSet.from_indices(

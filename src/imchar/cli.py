@@ -23,6 +23,7 @@ keys sorted, floats with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from imchar import catalog, jsonio, wire
@@ -193,6 +194,9 @@ def _cmd_catalog_list(args) -> int:
 
 
 def _cmd_cf_grid(args) -> int:
+    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)):
+        raise ParameterError("--xmin and --xmax must be finite, "
+                             f"got {args.xmin} and {args.xmax}")
     m, _ = _load_input(args)
     if args.points < 1:
         raise ParameterError("--points must be at least 1")

@@ -17,19 +17,18 @@ mu = 2 * (m_a)+.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from imchar.charfn import default_dual_grid, eval_cf, psd_check
+from imchar.charfn import default_dual_grid, psd_check, sample_cf
 from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
 from imchar.domains import BorelSet, GroupDomain, canonical_point, negate_point
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
 from imchar.measures import (SignedMeasure, add, build_measure, mass,
-                             measure_of, point_mass, scale, segment_value,
-                             total_variation)
+                             measure_of, point_mass, scale, segment_mass,
+                             sign_subsegments, total_variation)
 
 #: default decision tolerance for the norm-equals-one test
 NORM_TOLERANCE = 1e-6
@@ -66,7 +65,7 @@ class CompanionResult:
 
 
 def require_probability(m: SignedMeasure, tol: float = MASS_TOLERANCE):
-    """Check mass 1 within tol and no visible negativity."""
+    """Check mass 1 within tol and no negative part of mass beyond tol."""
     total = mass(m)
     if abs(total - 1.0) > tol:
         raise PreconditionError(f"probability measure expected: total mass {total!r} "
@@ -80,12 +79,10 @@ def require_probability(m: SignedMeasure, tol: float = MASS_TOLERANCE):
             raise PreconditionError(f"probability measure expected: atom at {a.t} "
                                     f"has negative weight {a.w}")
     for seg in m.density:
-        lo = seg.lower if math.isfinite(seg.lower) else min(seg.upper - 1.0, -32.0)
-        hi = seg.upper if math.isfinite(seg.upper) else max(seg.lower + 1.0, 32.0)
-        ts = np.linspace(lo, hi, 33)[1:-1]
-        if float(np.min(segment_value(m.domain, seg, ts))) < -1e-9:
-            raise PreconditionError("probability measure expected: density "
-                                    f"goes negative inside [{seg.lower}, {seg.upper}]")
+        for lo, hi, sgn in sign_subsegments(m.domain, seg):
+            if sgn < 0 and segment_mass(m.domain, seg, lo, hi)[0] < -tol:
+                raise PreconditionError("probability measure expected: density "
+                                        f"goes negative inside [{seg.lower}, {seg.upper}]")
 
 
 def bnorm_im(m: SignedMeasure) -> float:
@@ -176,12 +173,9 @@ def companion(m: SignedMeasure, sigma="zero",
             raise InternalCheckError(f"companion atom at {a.t} came out negative: {a.w}")
 
     grid = default_dual_grid(m.domain, grid_points)
-    d_im, d_all = 0.0, 0.0
-    for x in grid:
-        fm = eval_cf(m, x)
-        fn = eval_cf(nu, x)
-        d_im = max(d_im, abs(fm.imag - fn.imag))
-        d_all = max(d_all, abs(fm - fn))
+    fm, fn = sample_cf(m, grid).values, sample_cf(nu, grid).values
+    d_im = float(np.max(np.abs(fm.imag - fn.imag), initial=0.0))
+    d_all = float(np.max(np.abs(fm - fn), initial=0.0))
     return CompanionResult(m, nu, label, norm, d_im, d_all)
 
 

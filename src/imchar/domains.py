@@ -130,15 +130,15 @@ def _integer(x, message: str, **names) -> int:
     return int(f)
 
 
-def _finite(t, where: str) -> float:
+def _finite(t, what: str) -> float:
     v = float(t)
     if not math.isfinite(v):
-        raise ParameterError(f"{where} location must be finite, got {t!r}")
+        raise ParameterError(f"{what} must be finite, got {t!r}")
     return v
 
 
 def _circle_point(domain: GroupDomain, t) -> float:
-    x = _finite(t, "circle") % TWO_PI
+    x = _finite(t, "circle location") % TWO_PI
     # float modulo can land exactly on 2*pi for tiny negative inputs
     return 0.0 if x >= TWO_PI else x
 
@@ -419,9 +419,9 @@ _ARC = Interval(0.0, TWO_PI, True, False)
 _KINDS: dict[str, _Kind] = {
     "R": _Kind(
         label="R", sized=False, payload="intervals",
-        point=lambda d, t: _finite(t, "real-line"),
+        point=lambda d, t: _finite(t, "real-line location"),
         negate=lambda d, t: -float(t),
-        dual=lambda d, x: float(x),
+        dual=lambda d, x: _finite(x, "dual point"),
         dual_grid=lambda d, count: list(np.linspace(-20.0, 20.0, count)),
         circular=False,
         mirror=lambda c, d: (-d, -c),
@@ -435,7 +435,7 @@ _KINDS: dict[str, _Kind] = {
         label="Z", sized=False, payload="indices",
         point=lambda d, t: _as_index(t),
         negate=lambda d, t: -_as_index(t),
-        dual=lambda d, x: float(x),
+        dual=lambda d, x: _finite(x, "dual point"),
         dual_grid=lambda d, count: list(
             np.linspace(-math.pi, math.pi, count, endpoint=False)),
         whole=_refuse("the whole of Z is not finitely representable here")),

@@ -13,10 +13,14 @@ terms combined, so equality of representations is meaningful. All atom
 weight reductions use exactly rounded summation (math.fsum), which
 keeps discrete total variations order-independent and lets the cyclic
 oracle agree with the measure path bit for bit.
+
+One function, segment_mass, integrates a segment against e^{ixt}: at
+x = 0 it gives masses and total variations, elsewhere transforms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +32,7 @@ from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain,
                             canonical_point, check_same_domain, negate_point)
 from imchar.errors import (ParameterError, PreconditionError,
                            UnsupportedDomainError)
-from imchar.quadrature import QuadResult, integrate_fn
+from imchar.quadrature import integrate_fn, integrate_trig
 
 #: sampling resolution for sign-change isolation on named segments
 _SIGN_SAMPLES = 4096
@@ -253,38 +257,82 @@ def density_value(m: SignedMeasure, t) -> np.ndarray:
 # integration of segments
 
 
-def _named_term_mass(domain: GroupDomain, nt: NamedTerm, c: float, d: float) -> QuadResult:
-    """weight * integral of the (possibly reflected) family pdf over [c, d]."""
+def _poly_integral(coeffs, a: float, b: float, x: float):
+    """integral of sum_n c_n t^n * exp(i x t) over [a, b], closed form."""
+    if x == 0.0:
+        anti = npoly.polyint(coeffs)
+        return npoly.polyval(b, anti) - npoly.polyval(a, anti)
+    scale = max(1.0, abs(a), abs(b))
+    if abs(x) * scale <= 0.5:
+        # power series in (i x); converges geometrically in this regime
+        total = 0j
+        for n, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            acc = 0j
+            fac = 1.0 + 0j
+            for m_idx in range(60):
+                term = fac * (b ** (n + m_idx + 1) - a ** (n + m_idx + 1)) / (n + m_idx + 1)
+                acc += term
+                fac *= 1j * x / (m_idx + 1)
+                if abs(fac) * scale ** (n + m_idx + 2) <= 1e-18:
+                    break
+            total += c * acc
+        return total
+    ixa, ixb = 1j * x * a, 1j * x * b
+    ea, eb = cmath.exp(ixa), cmath.exp(ixb)
+    ix = 1j * x
+    vals = [(eb - ea) / ix]
+    for n in range(1, len(coeffs)):
+        vals.append((b ** n * eb - a ** n * ea - n * vals[n - 1]) / ix)
+    return sum(c * v for c, v in zip(coeffs, vals))
+
+
+def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
+                    x: float) -> tuple:
+    """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d]."""
     fam = densities.family(nt.name)
     params = nt.params_dict
     if nt.reflected:
+        # mirror onto the family's own orientation; e^{ixt} picks up a
+        # conjugate because the substitution flips the sign of the phase
         c, d = _KINDS[domain.kind].mirror(c, d)
     slo, shi = fam.support(params)
     lo, hi = max(c, slo), min(d, shi)
     if lo >= hi:
-        return QuadResult(0.0, 0.0)
-    r = integrate_fn(lambda t: float(fam.pdf(params, t)), lo, hi)
-    return QuadResult(nt.weight * r.value, abs(nt.weight) * r.error, r.warned)
+        return 0.0, 0.0, False
+    pdf = lambda t: float(fam.pdf(params, t))
+    if x == 0.0:
+        r = integrate_fn(pdf, lo, hi)
+        return nt.weight * r.value, abs(nt.weight) * r.error, r.warned
+    re = integrate_trig(pdf, lo, hi, x, "cos")
+    im = integrate_trig(pdf, lo, hi, x, "sin")
+    val = complex(re.value, im.value)
+    if nt.reflected:
+        val = val.conjugate()
+    return nt.weight * val, abs(nt.weight) * (re.error + im.error), re.warned or im.warned
 
 
-def _poly_mass(coeffs, c: float, d: float) -> float:
-    anti = npoly.polyint(coeffs)
-    return npoly.polyval(d, anti) - npoly.polyval(c, anti)
+def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
+                 x: float = 0.0) -> tuple:
+    """Integral of e^{ixt} times one segment's density over [c, d] (caller clips).
 
-
-def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float) -> QuadResult:
-    """Signed integral of one segment's density over [c, d] (caller clips)."""
+    Returns (value, error, warned) like ``charfn.eval_cf_with_error``.
+    At the default x = 0 the value is the real signed mass; otherwise
+    it is the segment's transform at x, a complex number.
+    """
     if c >= d:
-        return QuadResult(0.0, 0.0)
+        return 0.0, 0.0, False
     val, err, warned = 0.0, 0.0, False
     if seg.coeffs:
-        val += _poly_mass(seg.coeffs, c, d)
+        val += _poly_integral(seg.coeffs, c, d, x)
+        err += 1e-14 * max(1.0, abs(val))
     for nt in seg.named:
-        r = _named_term_mass(domain, nt, c, d)
-        val += r.value
-        err += r.error
-        warned = warned or r.warned
-    return QuadResult(val, err, warned)
+        v, e, w = _named_integral(domain, nt, c, d, x)
+        val += v
+        err += e
+        warned = warned or w
+    return val, err, warned
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +451,7 @@ def mass(m: SignedMeasure) -> float:
         return math.prod(mass(f) for f in m.factors)
     total = math.fsum(a.w for a in m.atoms)
     return total + math.fsum(
-        segment_mass(m.domain, s, s.lower, s.upper).value for s in m.density)
+        segment_mass(m.domain, s, s.lower, s.upper)[0] for s in m.density)
 
 
 def total_variation(m: SignedMeasure) -> float:
@@ -418,7 +466,7 @@ def total_variation(m: SignedMeasure) -> float:
         for seg in m.density:
             for lo, hi, sgn in sign_subsegments(m.domain, seg):
                 if sgn != 0:
-                    parts.append(abs(segment_mass(m.domain, seg, lo, hi).value))
+                    parts.append(abs(segment_mass(m.domain, seg, lo, hi)[0]))
         tv = math.fsum(parts)
     object.__setattr__(m, "_tv_cache", tv)
     return tv
@@ -493,5 +541,5 @@ def measure_of(m: SignedMeasure, s: BorelSet) -> float:
         for iv in s.intervals:
             c, d = max(seg.lower, iv.lo), min(seg.upper, iv.hi)
             if c < d:
-                parts.append(segment_mass(m.domain, seg, c, d).value)
+                parts.append(segment_mass(m.domain, seg, c, d)[0])
     return math.fsum(parts)

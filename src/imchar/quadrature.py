@@ -22,7 +22,7 @@ from scipy import integrate
 
 from imchar.errors import IntegrationError, QuadratureWarning
 
-#: default absolute error target for a single quadrature call
+#: absolute error target for a single quadrature call
 EPS_ABS = 1e-12
 EPS_REL = 1e-10
 _LIMIT = 200
@@ -46,15 +46,15 @@ def _quad(fn, a, b, **kw):
     return val, err, noisy
 
 
-def integrate_fn(fn, a: float, b: float, target: float = EPS_ABS) -> QuadResult:
+def integrate_fn(fn, a: float, b: float) -> QuadResult:
     """Integrate fn over [a, b]; either endpoint may be infinite."""
     if a == b:
         return QuadResult(0.0, 0.0)
-    val, err, noisy = _quad(fn, a, b, epsabs=target, epsrel=EPS_REL, limit=_LIMIT)
+    val, err, noisy = _quad(fn, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
     bad = not math.isfinite(val)
     if bad or (noisy and err > 1e-6):
         # one retry with a finer budget before giving up on the estimate
-        val2, err2, noisy2 = _quad(fn, a, b, epsabs=target, epsrel=EPS_REL, limit=4 * _LIMIT)
+        val2, err2, noisy2 = _quad(fn, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=4 * _LIMIT)
         if math.isfinite(val2):
             val, err, noisy = val2, err2, noisy2
     if not math.isfinite(val):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imchar.charfn import (MAX_GRAM_ORDER, default_dual_grid, eval_cf,
                            eval_cf_with_error, fourier_coeffs, im_cf, psd_check,
@@ -14,7 +16,7 @@ from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, cyclic, real_box
 from imchar.errors import ParameterError, UnsupportedDomainError
 from imchar.measures import (from_atoms, mass, named_density_measure,
                              point_mass, poly_density_measure, product_measure,
-                             total_variation, zero_measure)
+                             reflect, total_variation, zero_measure)
 
 
 def test_single_atom_is_complex_exponential():
@@ -215,3 +217,47 @@ def test_psd_check_validation():
         psd_check(m, [0.0, 0.0])
     with pytest.raises(ParameterError):
         psd_check(m, list(np.linspace(0, 1, MAX_GRAM_ORDER + 1)))
+
+
+# the transform at 0 and the mass come from one segment integral, so they
+# agree to the last bit
+
+_finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@given(_finite_floats, st.floats(1e-3, 20.0),
+       st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=6))
+def test_polynomial_transform_at_zero_is_mass_bitwise(a, width, coeffs):
+    m = poly_density_measure(REAL_LINE, a, a + width, coeffs)
+    assert eval_cf(m, 0.0) == complex(mass(m))
+
+
+_NAMED = st.sampled_from([
+    ("normal", {"mu": 0.5, "sigma": 1.5}, None),
+    ("normal", {"mu": -1.0, "sigma": 0.7}, (-2.0, 0.25)),
+    ("exponential", {"lam": 2.0}, None),
+    ("gamma", {"k": 2.5, "theta": 1.0}, (0.5, 4.0)),
+    ("cauchy", {"mu": 0.0, "gamma": 1.0}, (-3.0, 1.0)),
+])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_NAMED, st.floats(-3.0, 3.0, allow_nan=False).filter(lambda w: w != 0.0),
+       st.booleans())
+def test_named_transform_at_zero_is_mass_bitwise(family, weight, mirrored):
+    name, params, support = family
+    m = named_density_measure(REAL_LINE, name, params, weight, support)
+    if mirrored:
+        m = reflect(m)
+    assert eval_cf(m, 0.0) == complex(mass(m))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("m", [
+    from_atoms(REAL_LINE, [(0.5, 0.5), (-1.0, 0.5)]),
+    from_atoms(INTEGERS, [(0, 0.25), (3, 0.75)]),
+    poly_density_measure(REAL_LINE, 1.0, 3.0, [0.5]),
+], ids=["atoms-R", "atoms-Z", "uniform"])
+def test_non_finite_dual_points_are_refused(m, x):
+    with pytest.raises(ParameterError, match="dual point must be finite"):
+        eval_cf_with_error(m, x)

@@ -197,3 +197,25 @@ def test_non_finite_sigma_pair_on_integers_is_an_input_error(location):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dist", "normal", "--xmin", "inf"),
+    ("--dist", "uniform_arc", "--xmin", "inf"),
+    ("--dist", "uniform_arc", "--xmax", "nan"),
+    ("--dist", "poisson", "--xmax", "nan"),
+    ("--dist", "uniform", "--xmin=-inf"),
+])
+def test_cf_grid_non_finite_bounds_are_input_errors(argv):
+    proc = run_subprocess("cf-grid", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(imchar.__file__))
+    code = "import sys, imchar; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

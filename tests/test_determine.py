@@ -47,6 +47,17 @@ def test_norm_requires_probability():
         bnorm_im(from_atoms(REAL_LINE, [(0.0, 1.5), (1.0, -0.5)]))
 
 
+def test_negative_dip_between_old_scan_points_is_refused():
+    # unit mass, but alpha + beta (t - t0)^2 dips to alpha < 0 around t0,
+    # which sits midway between two points of a 33-point scan of [0, 1]
+    t0, alpha = 0.515625, -0.002
+    beta = (1.0 - alpha) / (((1.0 - t0) ** 3 + t0 ** 3) / 3.0)
+    m = poly_density_measure(REAL_LINE, 0.0, 1.0,
+                             [alpha + beta * t0 * t0, -2.0 * beta * t0, beta])
+    with pytest.raises(PreconditionError, match="density goes negative inside"):
+        require_probability(m)
+
+
 def test_verdict_fields():
     v = is_determined(point_mass(REAL_LINE, 1.0))
     assert v.determined and v.norm_im == 1.0 and v.method == "NormTest"
