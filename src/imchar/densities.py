@@ -1,10 +1,11 @@
 """Registry of named analytic density families.
 
-Every family maps a parameter dict and an array of locations to density
-values, vectorized, with zero returned outside the support. Families on
-the real line use log-space evaluation where the naive formula would
-overflow near a support edge. The three wrapped families live on the
-circle with support [0, 2*pi).
+Every family maps a parameter dict and a float or an array of locations
+to density values. Families with a finite support end return zero
+outside the open support. Families on the real line use log-space
+evaluation where the naive formula would overflow near a support edge.
+The three wrapped families live on the circle with support [0, 2*pi) and
+evaluate their periodic formula everywhere.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ TWO_PI = 2.0 * math.pi
 class DensityFamily:
     name: str
     support_fn: Callable[[dict], tuple[float, float]]
-    pdf: Callable[[dict, np.ndarray], np.ndarray]
+    pdf: Callable[[dict, float | np.ndarray], float | np.ndarray]
     validate: Callable[[dict], None]
     circular: bool = False
+    #: interior points where the pdf has a kink; integrals split there
+    kinks: Callable[[dict], tuple[float, ...]] = lambda p: ()
 
     def support(self, params: dict) -> tuple[float, float]:
         return self.support_fn(params)
@@ -68,13 +71,30 @@ def _positive(params: dict, *names: str):
             raise ParameterError(f"density parameter {nm!r} must be positive, got {params[nm]}")
 
 
-def _masked_exp(logp: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(logp, dtype=float)
-    np.exp(logp, where=mask, out=out)
-    return out
+def _open_support(kernel, support_fn):
+    """A pdf that is ``kernel`` inside the open support and zero elsewhere.
+
+    QUADPACK calls the pdf with one Python float at a time, so a float
+    takes a bare comparison and a direct kernel call; an array is
+    masked once and the kernel sees only its interior points. Kernels
+    may therefore assume lo < t < hi and skip every mask of their own.
+    """
+    def pdf(p, t):
+        lo, hi = support_fn(p)
+        if isinstance(t, float):
+            return kernel(p, t) if lo < t < hi else 0.0
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        inside = (t > lo) & (t < hi)
+        out[inside] = kernel(p, t[inside])
+        return out
+    return pdf
 
 
 # -- families on R ----------------------------------------------------------
+# Each kernel is the bare formula, valid inside the open support, for a
+# float or an array t. Transcendentals stay numpy ufuncs so scalar and
+# array evaluations round alike.
 
 def _normal_pdf(p, t):
     z = (t - p["mu"]) / p["sigma"]
@@ -93,78 +113,49 @@ def _cauchy_pdf(p, t):
 
 def _gamma_pdf(p, t):
     k, th = p["k"], p["theta"]
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = (k - 1.0) * np.log(t) - t / th - special.gammaln(k) - k * math.log(th)
-    return _masked_exp(np.where(mask, logp, -np.inf), mask)
+    return np.exp((k - 1.0) * np.log(t) - t / th - special.gammaln(k) - k * math.log(th))
 
 
 def _chi2_pdf(p, t):
     n = p["n"]
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = (0.5 * n - 1.0) * np.log(t) - 0.5 * t - special.gammaln(0.5 * n) - 0.5 * n * math.log(2.0)
-    return _masked_exp(np.where(mask, logp, -np.inf), mask)
+    return np.exp((0.5 * n - 1.0) * np.log(t) - 0.5 * t - special.gammaln(0.5 * n)
+                  - 0.5 * n * math.log(2.0))
 
 
 def _levy_pdf(p, t):
     c = p["c"]
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = 0.5 * math.log(c / TWO_PI) - 1.5 * np.log(t) - c / (2.0 * t)
-    return _masked_exp(np.where(mask, logp, -np.inf), mask)
+    return np.exp(0.5 * math.log(c / TWO_PI) - 1.5 * np.log(t) - c / (2.0 * t))
 
 
 def _maxwell_pdf(p, t):
     a = p["a"]
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    tt = np.where(mask, t, 0.0)
-    return np.where(mask, math.sqrt(2.0 / math.pi) * tt * tt * np.exp(-tt * tt / (2 * a * a)) / a**3, 0.0)
+    return math.sqrt(2.0 / math.pi) * t * t * np.exp(-t * t / (2 * a * a)) / a**3
 
 
 def _pareto_pdf(p, t):
     alpha, xm = p["alpha"], p["xm"]
-    t = np.asarray(t, dtype=float)
-    mask = t > xm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = math.log(alpha) + alpha * math.log(xm) - (alpha + 1.0) * np.log(np.where(mask, t, 1.0))
-    return _masked_exp(np.where(mask, logp, -np.inf), mask)
+    return np.exp(math.log(alpha) + alpha * math.log(xm) - (alpha + 1.0) * np.log(t))
 
 
 def _beta_pdf(p, t):
     a, b = p["a"], p["b"]
-    t = np.asarray(t, dtype=float)
-    mask = (t > 0.0) & (t < 1.0)
-    tt = np.where(mask, t, 0.5)
-    logp = (a - 1.0) * np.log(tt) + (b - 1.0) * np.log1p(-tt) - special.betaln(a, b)
-    return _masked_exp(np.where(mask, logp, -np.inf), mask)
+    return np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t) - special.betaln(a, b))
 
 
 def _arcsine_pdf(p, t):
-    t = np.asarray(t, dtype=float)
-    mask = (t > 0.0) & (t < 1.0)
-    tt = np.where(mask, t, 0.5)
-    return np.where(mask, 1.0 / (math.pi * np.sqrt(tt * (1.0 - tt))), 0.0)
+    return 1.0 / (math.pi * np.sqrt(t * (1.0 - t)))
 
 
 def _expon_pdf(p, t):
     lam = p["lam"]
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    return np.where(mask, lam * np.exp(-lam * np.where(mask, t, 0.0)), 0.0)
+    return lam * np.exp(-lam * t)
 
 
 def _hyperexp_pdf(p, t):
-    t = np.asarray(t, dtype=float)
-    mask = t > 0.0
-    out = np.zeros_like(t, dtype=float)
+    out = 0.0
     for i in range(1, _hyperexp_branches(p) + 1):
         pi, li = p[f"p{i}"], p[f"lam{i}"]
-        out += np.where(mask, pi * li * np.exp(-li * np.where(mask, t, 0.0)), 0.0)
+        out = out + pi * li * np.exp(-li * t)
     return out
 
 
@@ -194,7 +185,6 @@ def _hyperexp_validate(p: dict):
 def _wrapped_cauchy_pdf(p, t):
     mu, gamma = p["mu"], p["gamma"]
     rho = math.exp(-gamma)
-    t = np.asarray(t, dtype=float)
     return (1.0 - rho * rho) / (TWO_PI * (1.0 + rho * rho - 2.0 * rho * np.cos(t - mu)))
 
 
@@ -202,19 +192,17 @@ def _wrapped_normal_pdf(p, t):
     # direct wrapping; the tail beyond the truncation is < 1e-16 for
     # the sigma range the validator admits
     mu, sigma = p["mu"], p["sigma"]
-    t = np.asarray(t, dtype=float)
     kmax = int(math.ceil((9.0 * sigma + abs(mu) + TWO_PI) / TWO_PI)) + 1
-    out = np.zeros_like(t, dtype=float)
+    out = 0.0
     c = 1.0 / (sigma * math.sqrt(TWO_PI))
     for k in range(-kmax, kmax + 1):
         z = (t + TWO_PI * k - mu) / sigma
-        out += c * np.exp(-0.5 * z * z)
+        out = out + c * np.exp(-0.5 * z * z)
     return out
 
 
 def _wrapped_exp_pdf(p, t):
     lam = p["lam"]
-    t = np.asarray(t, dtype=float)
     return lam * np.exp(-lam * t) / (1.0 - math.exp(-TWO_PI * lam))
 
 
@@ -236,32 +224,40 @@ def _v_loc_scale(scale_name: str):
     return check
 
 
-register(DensityFamily("normal", _const(-math.inf, math.inf), _normal_pdf,
-                       _v_loc_scale("sigma")))
-register(DensityFamily("laplace", _const(-math.inf, math.inf), _laplace_pdf,
-                       _v_loc_scale("b")))
-register(DensityFamily("cauchy", _const(-math.inf, math.inf), _cauchy_pdf,
-                       _v_loc_scale("gamma")))
-register(DensityFamily("gamma", _const(0.0, math.inf), _gamma_pdf,
+_LINE = _const(-math.inf, math.inf)
+_HALF = _const(0.0, math.inf)
+_UNIT = _const(0.0, 1.0)
+_CIRCLE = _const(0.0, TWO_PI)
+
+
+def _pareto_support(p):
+    return p["xm"], math.inf
+
+
+register(DensityFamily("normal", _LINE, _normal_pdf, _v_loc_scale("sigma")))
+register(DensityFamily("laplace", _LINE, _laplace_pdf, _v_loc_scale("b"),
+                       kinks=lambda p: (p["mu"],)))
+register(DensityFamily("cauchy", _LINE, _cauchy_pdf, _v_loc_scale("gamma")))
+register(DensityFamily("gamma", _HALF, _open_support(_gamma_pdf, _HALF),
                        lambda p: _positive(p, "k", "theta")))
-register(DensityFamily("chi2", _const(0.0, math.inf), _chi2_pdf,
+register(DensityFamily("chi2", _HALF, _open_support(_chi2_pdf, _HALF),
                        lambda p: _positive(p, "n")))
-register(DensityFamily("levy", _const(0.0, math.inf), _levy_pdf,
+register(DensityFamily("levy", _HALF, _open_support(_levy_pdf, _HALF),
                        lambda p: _positive(p, "c")))
-register(DensityFamily("maxwell", _const(0.0, math.inf), _maxwell_pdf,
+register(DensityFamily("maxwell", _HALF, _open_support(_maxwell_pdf, _HALF),
                        lambda p: _positive(p, "a")))
-register(DensityFamily("pareto", lambda p: (p["xm"], math.inf), _pareto_pdf,
+register(DensityFamily("pareto", _pareto_support, _open_support(_pareto_pdf, _pareto_support),
                        lambda p: _positive(p, "alpha", "xm")))
-register(DensityFamily("beta", _const(0.0, 1.0), _beta_pdf,
+register(DensityFamily("beta", _UNIT, _open_support(_beta_pdf, _UNIT),
                        lambda p: _positive(p, "a", "b")))
-register(DensityFamily("arcsine", _const(0.0, 1.0), _arcsine_pdf, lambda p: None))
-register(DensityFamily("exponential", _const(0.0, math.inf), _expon_pdf,
+register(DensityFamily("arcsine", _UNIT, _open_support(_arcsine_pdf, _UNIT), lambda p: None))
+register(DensityFamily("exponential", _HALF, _open_support(_expon_pdf, _HALF),
                        lambda p: _positive(p, "lam")))
-register(DensityFamily("hyperexponential", _const(0.0, math.inf), _hyperexp_pdf,
+register(DensityFamily("hyperexponential", _HALF, _open_support(_hyperexp_pdf, _HALF),
                        _hyperexp_validate))
-register(DensityFamily("wrapped_cauchy", _const(0.0, TWO_PI), _wrapped_cauchy_pdf,
+register(DensityFamily("wrapped_cauchy", _CIRCLE, _wrapped_cauchy_pdf,
                        _v_loc_scale("gamma"), circular=True))
-register(DensityFamily("wrapped_normal", _const(0.0, TWO_PI), _wrapped_normal_pdf,
+register(DensityFamily("wrapped_normal", _CIRCLE, _wrapped_normal_pdf,
                        _wrapped_normal_validate, circular=True))
-register(DensityFamily("wrapped_exponential", _const(0.0, TWO_PI), _wrapped_exp_pdf,
+register(DensityFamily("wrapped_exponential", _CIRCLE, _wrapped_exp_pdf,
                        lambda p: _positive(p, "lam"), circular=True))

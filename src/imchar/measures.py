@@ -32,7 +32,7 @@ from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain,
                             canonical_point, check_same_domain, negate_point)
 from imchar.errors import (ParameterError, PreconditionError,
                            UnsupportedDomainError)
-from imchar.quadrature import integrate_fn, integrate_trig
+from imchar.quadrature import QuadResult, integrate_fn, integrate_trig
 
 #: sampling resolution for sign-change isolation on named segments
 _SIGN_SAMPLES = 4096
@@ -257,35 +257,70 @@ def density_value(m: SignedMeasure, t) -> np.ndarray:
 # integration of segments
 
 
-def _poly_integral(coeffs, a: float, b: float, x: float):
-    """integral of sum_n c_n t^n * exp(i x t) over [a, b], closed form."""
+#: bound on one rounding, relative to the magnitude rounded: twice the
+#: unit roundoff, so a complex product or a pow within one ulp stays covered
+_ULP = 2.0 ** -52
+
+
+def _poly_integral(coeffs, a: float, b: float, x: float) -> tuple:
+    """integral of sum_n c_n t^n * exp(i x t) over [a, b], closed form.
+
+    Returns (value, err). err bounds this evaluation's rounding: every
+    branch carries a running bound through its operations, each rounding
+    at most _ULP times the magnitude it rounds, and the series branch
+    adds the tail it drops.
+    """
     if x == 0.0:
         anti = npoly.polyint(coeffs)
-        return npoly.polyval(b, anti) - npoly.polyval(a, anti)
+        val = npoly.polyval(b, anti) - npoly.polyval(a, anti)
+        # Horner rounds twice per coefficient, polyint once more
+        mags = np.abs(anti)
+        size = npoly.polyval(abs(a), mags) + npoly.polyval(abs(b), mags)
+        return val, (2 * len(anti) + 1) * _ULP * size + _ULP * abs(val)
     scale = max(1.0, abs(a), abs(b))
     if abs(x) * scale <= 0.5:
         # power series in (i x); converges geometrically in this regime
-        total = 0j
+        total, err = 0j, 0.0
         for n, c in enumerate(coeffs):
             if c == 0.0:
                 continue
-            acc = 0j
+            acc, acc_err = 0j, 0.0
             fac = 1.0 + 0j
             for m_idx in range(60):
-                term = fac * (b ** (n + m_idx + 1) - a ** (n + m_idx + 1)) / (n + m_idx + 1)
+                k = n + m_idx + 1
+                term = fac * (b ** k - a ** k) / k
                 acc += term
+                # fac holds 2 * m_idx roundings; the powers, their difference,
+                # the product and the quotient add theirs
+                acc_err += ((m_idx + 4) * abs(term) + abs(fac) * (abs(b) ** k + abs(a) ** k) / k
+                            + abs(acc)) * _ULP
                 fac *= 1j * x / (m_idx + 1)
                 if abs(fac) * scale ** (n + m_idx + 2) <= 1e-18:
                     break
+            # the dropped terms shrink by a factor of at least |x| scale <= 1/2
+            acc_err += 4.0 * abs(fac) * scale ** (n + m_idx + 2)
             total += c * acc
-        return total
+            err += abs(c) * (acc_err + _ULP * abs(acc)) + _ULP * abs(total)
+        return total, err
     ixa, ixb = 1j * x * a, 1j * x * b
     ea, eb = cmath.exp(ixa), cmath.exp(ixb)
-    ix = 1j * x
-    vals = [(eb - ea) / ix]
-    for n in range(1, len(coeffs)):
-        vals.append((b ** n * eb - a ** n * ea - n * vals[n - 1]) / ix)
-    return sum(c * v for c, v in zip(coeffs, vals))
+    ix, ax = 1j * x, abs(x)
+    # each exponential is off by its rounded phase, u |x t|, plus its own rounding
+    da, db = _ULP * (ax * abs(a) + 2.0), _ULP * (ax * abs(b) + 2.0)
+    v = (eb - ea) / ix
+    e = (da + db) / ax + 2 * _ULP * abs(v)
+    val, err = 0, 0.0
+    for n, c in enumerate(coeffs):
+        if n:
+            prev = n * abs(v)
+            v = (b ** n * eb - a ** n * ea - n * v) / ix
+            # the recurrence divides the numerator's error by |x| at every step
+            an, bn = abs(a) ** n, abs(b) ** n
+            e = ((bn * (db + 5 * _ULP) + an * (da + 5 * _ULP) + n * e + 3 * _ULP * prev) / ax
+                 + _ULP * abs(v))
+        val += c * v
+        err += abs(c) * (e + (len(coeffs) + 1) * _ULP * abs(v))
+    return val, err
 
 
 def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
@@ -302,15 +337,29 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     if lo >= hi:
         return 0.0, 0.0, False
     pdf = lambda t: float(fam.pdf(params, t))
+    # a kink inside [lo, hi] becomes a piece boundary: quadrature rules
+    # assume a smooth integrand inside each piece
+    cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     if x == 0.0:
-        r = integrate_fn(pdf, lo, hi)
+        r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
         return nt.weight * r.value, abs(nt.weight) * r.error, r.warned
-    re = integrate_trig(pdf, lo, hi, x, "cos")
-    im = integrate_trig(pdf, lo, hi, x, "sin")
+    re = _piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "cos"), cuts)
+    im = _piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "sin"), cuts)
     val = complex(re.value, im.value)
     if nt.reflected:
         val = val.conjugate()
     return nt.weight * val, abs(nt.weight) * (re.error + im.error), re.warned or im.warned
+
+
+def _piecewise(integrate, cuts) -> QuadResult:
+    """integrate(a, b) summed over consecutive cuts.
+
+    The sum starts from the first piece's value, so a single piece keeps
+    its bits (a signed zero included).
+    """
+    rs = [integrate(a, b) for a, b in zip(cuts, cuts[1:])]
+    return QuadResult(sum((r.value for r in rs[1:]), rs[0].value),
+                      sum(r.error for r in rs), any(r.warned for r in rs))
 
 
 def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
@@ -325,8 +374,8 @@ def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
         return 0.0, 0.0, False
     val, err, warned = 0.0, 0.0, False
     if seg.coeffs:
-        val += _poly_integral(seg.coeffs, c, d, x)
-        err += 1e-14 * max(1.0, abs(val))
+        pv, err = _poly_integral(seg.coeffs, c, d, x)
+        val += pv
     for nt in seg.named:
         v, e, w = _named_integral(domain, nt, c, d, x)
         val += v

@@ -14,6 +14,7 @@ and a QuadratureWarning is raised if the target was missed.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ from imchar.errors import IntegrationError, QuadratureWarning
 EPS_ABS = 1e-12
 EPS_REL = 1e-10
 _LIMIT = 200
+
+
+def _unusable(v: float) -> bool:
+    """True for nan, inf and QUADPACK's overflow sentinel (the largest float)."""
+    return not abs(v) < sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -51,13 +57,12 @@ def integrate_fn(fn, a: float, b: float) -> QuadResult:
     if a == b:
         return QuadResult(0.0, 0.0)
     val, err, noisy = _quad(fn, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
-    bad = not math.isfinite(val)
-    if bad or (noisy and err > 1e-6):
+    if _unusable(val) or (noisy and err > 1e-6):
         # one retry with a finer budget before giving up on the estimate
         val2, err2, noisy2 = _quad(fn, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=4 * _LIMIT)
-        if math.isfinite(val2):
+        if not _unusable(val2):
             val, err, noisy = val2, err2, noisy2
-    if not math.isfinite(val):
+    if _unusable(val):
         raise IntegrationError(f"integral over [{a}, {b}] did not converge")
     warned = noisy and err > 1e-8
     if warned:
@@ -80,7 +85,7 @@ def _weighted(fn, a, b, omega, trig):
         val, err, noisy = _quad(fn, a, b, **kw)
     except IntegrationError:
         return None
-    if not math.isfinite(val) or not math.isfinite(err):
+    if _unusable(val) or not math.isfinite(err):
         return None
     return val, err, noisy
 

@@ -3,20 +3,23 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imchar.catalog import make_measure, spec
 from imchar.charfn import (MAX_GRAM_ORDER, default_dual_grid, eval_cf,
                            eval_cf_with_error, fourier_coeffs, im_cf, psd_check,
                            re_cf, sample_cf)
 from imchar.decompose import sym_anti_split
 from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, cyclic, real_box
 from imchar.errors import ParameterError, UnsupportedDomainError
-from imchar.measures import (from_atoms, mass, named_density_measure,
-                             point_mass, poly_density_measure, product_measure,
-                             reflect, total_variation, zero_measure)
+from imchar.measures import (DensitySegment, from_atoms, mass,
+                             named_density_measure, point_mass,
+                             poly_density_measure, product_measure, reflect,
+                             segment_mass, total_variation, zero_measure)
 
 
 def test_single_atom_is_complex_exponential():
@@ -261,3 +264,82 @@ def test_named_transform_at_zero_is_mass_bitwise(family, weight, mirrored):
 def test_non_finite_dual_points_are_refused(m, x):
     with pytest.raises(ParameterError, match="dual point must be finite"):
         eval_cf_with_error(m, x)
+
+
+def test_exponential_transform_past_qawf_overflow_sentinel():
+    # QAWF hands back the largest float with a 1e-13 error estimate here;
+    # the value must come from the fallback route instead
+    lam = 2.5188861841289127
+    m = named_density_measure(REAL_LINE, "exponential", {"lam": lam})
+    v, err, warned = eval_cf_with_error(m, 0.37)
+    assert abs(v - lam / (lam - 0.37j)) <= err
+    assert not warned
+
+
+@pytest.mark.parametrize("x", [6.8, -6.8, 0.3, -2.5, 40.0])
+@pytest.mark.parametrize("reflected", [False, True])
+def test_laplace_off_center_transform_within_bound(x, reflected):
+    # the kink at mu sits inside the support; each side must be smooth
+    # for QAWF to meet its bound
+    mu, b = 1.5, 0.5
+    m = named_density_measure(REAL_LINE, "laplace", {"mu": mu, "b": b})
+    if reflected:
+        m, mu = reflect(m), -mu
+    v, err, _ = eval_cf_with_error(m, x)
+    assert abs(v - cmath.exp(1j * x * mu) / (1.0 + b * b * x * x)) <= err
+
+
+def _mp_poly_transform(coeffs, a, b, x):
+    """integral of sum_n c_n t^n e^{ixt} over [a, b], at 40 digits."""
+    with mp.workdps(40):
+        a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        total = mp.mpc(0)
+        if abs(x) * max(1, abs(a), abs(b)) <= 0.5:
+            # power series in ix: terms shrink by at least half, no cancellation
+            for n, c in enumerate(coeffs):
+                fac, k = mp.mpc(1), n + 1
+                while abs(fac) > mp.mpf(10) ** -45:
+                    total += c * fac * (b ** k - a ** k) / k
+                    fac *= mp.mpc(0, x) / (k - n)
+                    k += 1
+            return total
+        ix = mp.mpc(0, x)
+        ea, eb = mp.exp(ix * a), mp.exp(ix * b)
+        moment = (eb - ea) / ix
+        for n, c in enumerate(coeffs):
+            if n:
+                moment = (b ** n * eb - a ** n * ea - n * moment) / ix
+            total += c * moment
+        return total
+
+
+def test_triangular_grid_within_reported_bound():
+    # the old flat 1e-14 |v| bound missed at x = 0.24000000000000021 by 5.9x
+    m = make_measure(spec("triangular", a=1.9869081712669654, b=2.334175608277103))
+    for i in range(201):
+        x = -2.0 + 4.0 * i / 200
+        v, err, _ = eval_cf_with_error(m, x)
+        exact = sum(_mp_poly_transform(seg.coeffs, seg.lower, seg.upper, x)
+                    for seg in m.density)
+        assert abs(mp.mpc(v) - exact) <= err, x
+
+
+def test_polynomial_transform_bounds_against_mpmath():
+    # degree <= 3, |a| <= 5, width <= 3; x covers the closed-form branch,
+    # the small-|x| series branch and x = 0
+    rng = np.random.default_rng(20261018)
+    for _ in range(1500):
+        deg = int(rng.integers(0, 4))
+        coeffs = tuple(float(c) for c in rng.normal(0.0, 1.0, deg + 1)
+                       * 10.0 ** rng.uniform(-2.0, 2.0, deg + 1))
+        a = float(rng.uniform(-5.0, 5.0))
+        b = a + float(rng.uniform(1e-3, 3.0))
+        pick = rng.uniform()
+        if pick < 0.6:
+            x = float(rng.uniform(-20.0, 20.0))
+        elif pick < 0.95:
+            x = float(10.0 ** rng.uniform(-8.0, 0.0) * rng.choice([-1.0, 1.0]))
+        else:
+            x = 0.0
+        v, err, _ = segment_mass(REAL_LINE, DensitySegment(a, b, coeffs), a, b, x)
+        assert abs(mp.mpc(v) - _mp_poly_transform(coeffs, a, b, x)) <= err, (coeffs, a, b, x)

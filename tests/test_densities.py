@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imchar.densities import family, family_names
 from imchar.errors import ParameterError
@@ -94,3 +96,86 @@ def test_family_names_cover_catalog():
     names = family_names()
     for needed in ("normal", "gamma", "levy", "maxwell", "wrapped_cauchy"):
         assert needed in names
+
+
+# -- scalar and array evaluation ---------------------------------------------
+
+_pos = st.floats(1e-3, 1e3)
+_loc = st.floats(-50.0, 50.0)
+_weight = st.floats(1e-3, 1.0 - 1e-3)
+
+#: a parameter strategy per family, drawn inside its validator's range
+PARAM_STRATEGIES = {
+    "normal": st.fixed_dictionaries({"mu": _loc, "sigma": _pos}),
+    "laplace": st.fixed_dictionaries({"mu": _loc, "b": _pos}),
+    "cauchy": st.fixed_dictionaries({"mu": _loc, "gamma": _pos}),
+    "gamma": st.fixed_dictionaries({"k": _pos, "theta": _pos}),
+    "chi2": st.fixed_dictionaries({"n": _pos}),
+    "levy": st.fixed_dictionaries({"c": _pos}),
+    "maxwell": st.fixed_dictionaries({"a": _pos}),
+    "pareto": st.fixed_dictionaries({"alpha": _pos, "xm": _pos}),
+    "beta": st.fixed_dictionaries({"a": _pos, "b": _pos}),
+    "arcsine": st.just({}),
+    "exponential": st.fixed_dictionaries({"lam": _pos}),
+    "hyperexponential": st.builds(
+        lambda p1, l1, l2: {"p1": p1, "lam1": l1, "p2": 1.0 - p1, "lam2": l2},
+        _weight, _pos, _pos),
+    "wrapped_cauchy": st.fixed_dictionaries({"mu": _loc, "gamma": _pos}),
+    "wrapped_normal": st.fixed_dictionaries({"mu": _loc, "sigma": st.floats(1e-3, 20.0)}),
+    "wrapped_exponential": st.fixed_dictionaries({"lam": _pos}),
+}
+
+
+def test_param_strategies_cover_every_family():
+    assert sorted(PARAM_STRATEGIES) == family_names()
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).reshape(-1).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_STRATEGIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_and_array_paths_agree_bitwise(name, data):
+    # QUADPACK passes plain floats, everything else arrays; both must
+    # give the same bits at every interior point
+    fam = family(name)
+    params = data.draw(PARAM_STRATEGIES[name])
+    fam.validate(params)
+    lo, hi = fam.support(params)
+    a, b = max(lo, -1e3), min(hi, max(lo, 0.0) + 1e3)
+    u = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    t = a + (b - a) * u
+    assume(lo < t < hi)
+    # extreme draws overflow to inf on both paths alike; that is not the point here
+    with np.errstate(over="ignore"):
+        scalar = fam.pdf(params, t)
+        array = fam.pdf(params, np.array([t]))
+    assert array.shape == (1,)
+    assert _bits(scalar) == _bits(array)
+
+
+SUPPORT_ENDS = [
+    ("gamma", {"k": 0.5, "theta": 1.0}, [0.0, -0.0, -1e-300, -2.0, -math.inf]),
+    ("exponential", {"lam": 2.0}, [0.0, -1e-300, -3.0, -math.inf]),
+    ("pareto", {"alpha": 2.0, "xm": 1.5}, [1.5, math.nextafter(1.5, 0.0), 0.0, -4.0]),
+    ("beta", {"a": 0.5, "b": 0.5}, [0.0, 1.0, -0.5, 1.5, math.inf]),
+    ("arcsine", {}, [0.0, 1.0, -1e-300, math.nextafter(1.0, 2.0), 7.0]),
+]
+
+
+@pytest.mark.parametrize("name,params,points", SUPPORT_ENDS)
+def test_zero_at_and_beyond_finite_support_ends(name, params, points):
+    pdf = family(name).pdf
+    for t in points:
+        assert pdf(params, t) == 0.0
+    assert pdf(params, np.array(points)).tolist() == [0.0] * len(points)
+
+
+@pytest.mark.parametrize("name,params", sorted(CIRCLE_FAMILIES.items()))
+def test_circle_families_evaluate_at_both_ends(name, params):
+    pdf = family(name).pdf
+    ends = [0.0, 2.0 * math.pi]
+    assert all(pdf(params, t) > 0.0 for t in ends)
+    assert np.all(pdf(params, np.array(ends)) > 0.0)

@@ -192,3 +192,13 @@ def test_norm_on_z_measure():
     assert bnorm_im(m) == pytest.approx(0.6, abs=1e-15)
     one_sided = from_atoms(INTEGERS, [(1, 0.5), (3, 0.5)])
     assert is_determined(one_sided).determined
+
+
+def test_off_center_laplace_verdict():
+    # its mass used to integrate to 1.0000290 across the kink at mu, so
+    # the probability check refused the measure
+    mu, b = -3.0076085368304186, 0.9986275519221732
+    m = named_density_measure(REAL_LINE, "laplace", {"mu": mu, "b": b})
+    verdict = is_determined(m)
+    assert not verdict.determined
+    assert verdict.norm_im == pytest.approx(1.0 - math.exp(-abs(mu) / b), abs=1e-9)

@@ -12,7 +12,7 @@ from imchar.measures import (DensitySegment, add, build_measure, density_value,
                              from_atoms, mass, measure_of,
                              named_density_measure, point_mass,
                              poly_density_measure, product_measure, reflect,
-                             scale, sign_subsegments, subtract,
+                             scale, segment_mass, sign_subsegments, subtract,
                              total_variation, zero_measure)
 
 
@@ -196,3 +196,13 @@ def test_density_value_clipping():
     uniform = poly_density_measure(REAL_LINE, -1.0, 3.0, [0.25])
     vals = density_value(uniform, np.array([-2.0, 0.0, 3.0, 4.0]))
     assert vals.tolist() == [0.0, 0.25, 0.25, 0.0]
+
+
+def test_laplace_mass_off_center_within_bound():
+    # the kink at mu once made QUADPACK report 1.0000290 with a 4.3e-11 bound
+    m = named_density_measure(REAL_LINE, "laplace",
+                              {"mu": -3.0076085368304186, "b": 0.9986275519221732})
+    seg = m.density[0]
+    v, err, warned = segment_mass(REAL_LINE, seg, seg.lower, seg.upper)
+    assert abs(v - 1.0) <= err
+    assert not warned
