@@ -29,11 +29,17 @@ MAX_GRAM_ORDER = 64
 
 @dataclass(frozen=True)
 class CharFnSample:
-    """Transform values on a grid with one conservative error bound."""
+    """Transform values on a grid with per-point error bounds and flags.
+
+    ``error_bound`` is the largest of ``errors`` (0.0 on an empty grid);
+    ``warned[i]`` says whether a quadrature at points[i] missed its target.
+    """
 
     points: np.ndarray
     values: np.ndarray
     error_bound: float
+    errors: np.ndarray
+    warned: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,20 +49,34 @@ class GramReport:
     is_psd: bool
 
 
+def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
+    """Values, additive error bounds and warning flags on a grid of dual points.
+
+    Density segments are the outer loop and the dual points the inner
+    one, so each segment integral sees the whole grid.
+    """
+    row = _KINDS[m.domain.kind]
+    xs = [row.dual(m.domain, x) for x in points]
+    values = []
+    for xv in xs:
+        total = 0j
+        for a in m.atoms:
+            total += a.w * row.phase(m.domain, a.t, xv)
+        values.append(total)
+    errors, warned = [0.0] * len(xs), [False] * len(xs)
+    grid = [float(xv) for xv in xs]
+    for seg in m.density:
+        for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid)):
+            values[i] += v
+            errors[i] += e
+            warned[i] = warned[i] or w
+    return values, errors, warned
+
+
 def eval_cf_with_error(m: SignedMeasure, x) -> tuple[complex, float, bool]:
     """Transform value at one dual point plus an additive error bound."""
-    row = _KINDS[m.domain.kind]
-    xv = row.dual(m.domain, x)
-    total = 0j
-    for a in m.atoms:
-        total += a.w * row.phase(m.domain, a.t, xv)
-    err, warned = 0.0, False
-    for seg in m.density:
-        v, e, w = segment_mass(m.domain, seg, seg.lower, seg.upper, float(xv))
-        total += v
-        err += e
-        warned = warned or w
-    return total, err, warned
+    values, errors, warned = _transform(m, [x])
+    return values[0], errors[0], warned[0]
 
 
 def eval_cf(m: SignedMeasure, x) -> complex:
@@ -75,13 +95,10 @@ def re_cf(m: SignedMeasure, x) -> float:
 def sample_cf(m: SignedMeasure, points) -> CharFnSample:
     """Evaluate the transform on a grid of dual points."""
     pts = list(points)
-    values = np.empty(len(pts), dtype=complex)
-    bound = 0.0
-    for i, x in enumerate(pts):
-        v, e, _ = eval_cf_with_error(m, x)
-        values[i] = v
-        bound = max(bound, e)
-    return CharFnSample(np.asarray(pts), values, bound)
+    values, errors, warned = _transform(m, pts)
+    return CharFnSample(np.asarray(pts), np.asarray(values, dtype=complex),
+                        max([0.0, *errors]), np.asarray(errors, dtype=float),
+                        np.asarray(warned, dtype=bool))
 
 
 def fourier_coeffs(m: SignedMeasure) -> tuple[dict, frozenset]:
@@ -127,7 +144,9 @@ def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramRep
         for k in range(n):
             d = dual(m.domain, xs[j] - xs[k])
             if d not in cache:
-                cache[d] = eval_cf(m, d)
+                # f(-d) = conj f(d); on Z_n the residue of -d is not -d,
+                # and there each residue is evaluated
+                cache[d] = cache[-d].conjugate() if -d in cache else eval_cf(m, d)
             g[j, k] = cache[d]
     g = 0.5 * (g + g.conj().T)
     eigs = np.linalg.eigvalsh(g)

@@ -208,8 +208,8 @@ def _cmd_cf_grid(args) -> int:
         pts = [lo + (hi - lo) * i / max(args.points - 1, 1) for i in range(args.points)]
     sample = sample_cf(m, pts)
     cast = int if integer_dual else float
-    rows = [(cast(x), v.real, v.imag, sample.error_bound)
-            for x, v in zip(sample.points, sample.values)]
+    rows = [(cast(x), v.real, v.imag, float(e))
+            for x, v, e in zip(sample.points, sample.values, sample.errors)]
     if getattr(args, "format", None) == "json":
         _emit(args, jsonio.dumps([
             {"x": x, "re": re_, "im": im_, "err": err}

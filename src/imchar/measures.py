@@ -324,8 +324,11 @@ def _poly_integral(coeffs, a: float, b: float, x: float) -> tuple:
 
 
 def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
-                    x: float) -> tuple:
-    """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d]."""
+                    xs) -> list:
+    """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d].
+
+    One (value, error, warned) triple per dual point x of xs.
+    """
     fam = densities.family(nt.name)
     params = nt.params_dict
     if nt.reflected:
@@ -335,20 +338,42 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     slo, shi = fam.support(params)
     lo, hi = max(c, slo), min(d, shi)
     if lo >= hi:
-        return 0.0, 0.0, False
+        return [(0.0, 0.0, False)] * len(xs)
     pdf = lambda t: float(fam.pdf(params, t))
     # a kink inside [lo, hi] becomes a piece boundary: quadrature rules
     # assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
-    if x == 0.0:
-        r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
-        return nt.weight * r.value, abs(nt.weight) * r.error, r.warned
-    re = _piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "cos"), cuts)
-    im = _piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "sin"), cuts)
-    val = complex(re.value, im.value)
-    if nt.reflected:
-        val = val.conjugate()
-    return nt.weight * val, abs(nt.weight) * (re.error + im.error), re.warned or im.warned
+    # The cos and sin integrals, every piece and the fallback route ask
+    # for nearly the same nodes, so the pdf is read through one table
+    # and each node is evaluated once. QAWO reuses its nodes at every x
+    # of a finite interval, so there the table serves the whole grid;
+    # QAWF's nodes follow its cycle pi/|x|, so on a half-line the table
+    # starts afresh at each x and memory stays bounded by one point.
+    grid_wide = math.isfinite(lo) and math.isfinite(hi)
+    table: dict = {}
+
+    def tabled(t):
+        v = table.get(t)
+        if v is None:
+            v = table[t] = float(fam.pdf(params, t))
+        return v
+
+    out = []
+    for x in xs:
+        if x == 0.0:
+            r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
+            out.append((nt.weight * r.value, abs(nt.weight) * r.error, r.warned))
+            continue
+        if not grid_wide:
+            table.clear()
+        re = _piecewise(lambda a, b: integrate_trig(tabled, a, b, x, "cos"), cuts)
+        im = _piecewise(lambda a, b: integrate_trig(tabled, a, b, x, "sin"), cuts)
+        val = complex(re.value, im.value)
+        if nt.reflected:
+            val = val.conjugate()
+        out.append((nt.weight * val, abs(nt.weight) * (re.error + im.error),
+                    re.warned or im.warned))
+    return out
 
 
 def _piecewise(integrate, cuts) -> QuadResult:
@@ -363,25 +388,31 @@ def _piecewise(integrate, cuts) -> QuadResult:
 
 
 def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
-                 x: float = 0.0) -> tuple:
+                 x=0.0):
     """Integral of e^{ixt} times one segment's density over [c, d] (caller clips).
 
     Returns (value, error, warned) like ``charfn.eval_cf_with_error``.
     At the default x = 0 the value is the real signed mass; otherwise
-    it is the segment's transform at x, a complex number.
+    it is the segment's transform at x, a complex number. x may also be
+    a list or tuple of dual points, a grid: the result is then a list
+    with one such triple per point, and each named term evaluates its
+    pdf once per quadrature node (on a finite interval, once over the
+    whole grid).
     """
-    if c >= d:
-        return 0.0, 0.0, False
-    val, err, warned = 0.0, 0.0, False
-    if seg.coeffs:
-        pv, err = _poly_integral(seg.coeffs, c, d, x)
-        val += pv
-    for nt in seg.named:
-        v, e, w = _named_integral(domain, nt, c, d, x)
-        val += v
-        err += e
-        warned = warned or w
-    return val, err, warned
+    xs = x if isinstance(x, (list, tuple)) else (x,)
+    vals, errs, warned = [0.0] * len(xs), [0.0] * len(xs), [False] * len(xs)
+    if c < d:
+        if seg.coeffs:
+            for i, xv in enumerate(xs):
+                pv, errs[i] = _poly_integral(seg.coeffs, c, d, xv)
+                vals[i] += pv
+        for nt in seg.named:
+            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, xs)):
+                vals[i] += v
+                errs[i] += e
+                warned[i] = warned[i] or w
+    out = list(zip(vals, errs, warned))
+    return out if xs is x else out[0]
 
 
 # ---------------------------------------------------------------------------

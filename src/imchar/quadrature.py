@@ -8,7 +8,8 @@ plain subdivision would need a partition proportional to |omega|. When
 the weighted routine cannot handle an integrable endpoint singularity
 it falls back to plain adaptive quadrature of the full oscillating
 integrand; the returned error bound reflects whatever route was taken
-and a QuadratureWarning is raised if the target was missed.
+and a QuadratureWarning is raised if the target was missed. Frequencies
+below 2^-40 take the plain route directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from imchar.errors import IntegrationError, QuadratureWarning
 EPS_ABS = 1e-12
 EPS_REL = 1e-10
 _LIMIT = 200
+#: below this frequency the weighted routines are skipped: QAWF's first
+#: cycle, pi/omega, overflows its arithmetic (a crash inside QUADPACK for
+#: some densities below 1e-160, silent zeros near 1e-300), while plain
+#: quadrature of the folded integrand is accurate unless a heavy tail
+#: carries mass out to |t| ~ 1/omega, where cos and sin start to move
+_PLAIN_BELOW = 2.0 ** -40
 
 
 def _unusable(v: float) -> bool:
@@ -124,7 +131,7 @@ def integrate_trig(fn, a: float, b: float, omega: float, trig: str) -> QuadResul
         sgn = -1.0 if trig == "sin" else 1.0
         return QuadResult(sgn * r.value, r.error, r.warned)
 
-    got = _weighted(fn, a, b, omega, trig)
+    got = _weighted(fn, a, b, omega, trig) if omega >= _PLAIN_BELOW else None
     if got is not None:
         val, err, noisy = got
         if not noisy or err <= 1e-8:
