@@ -228,7 +228,9 @@ _INPUT_FLAGS = (
     ("--params", dict(help="comma-separated k=v parameter overrides")),
     ("--measure", dict(help="path to a measure JSON file")),
     ("--tolerance", dict(type=float, default=NORM_TOLERANCE,
-                         help="determination tolerance (default 1e-6)")),
+                         help="determination tolerance (default 1e-6); a norm within it "
+                              "of 1 counts as determined unless the measure "
+                              "provably shares mass with its reflection")),
     ("--out", dict(help="write output to this file instead of stdout")),
     ("--format", dict(choices=["json", "csv"], default=None,
                       help="output encoding (json everywhere; csv for cf-grid)")),

@@ -6,6 +6,10 @@ outside the open support. Families on the real line use log-space
 evaluation where the naive formula would overflow near a support edge.
 The three wrapped families live on the circle with support [0, 2*pi) and
 evaluate their periodic formula everywhere.
+
+Light-tailed families also declare a window: a finite interval inside
+the support that holds all but at most 2^-60 of their mass, taken from
+the family's own quantile function, with the mass it leaves out.
 """
 
 from __future__ import annotations
@@ -29,8 +33,12 @@ class DensityFamily:
     pdf: Callable[[dict, float | np.ndarray], float | np.ndarray]
     validate: Callable[[dict], None]
     circular: bool = False
-    #: interior points where the pdf has a kink; integrals split there
+    #: ascending interior points where integrals split: kinks of the pdf,
+    #: or the edges of a peak too narrow for quadrature to find
     kinks: Callable[[dict], tuple[float, ...]] = lambda p: ()
+    #: (lo, hi, tail): a finite interval inside the support outside which
+    #: the mass is tail <= 2^-60; None where the tail is too heavy to cut
+    window: Callable[[dict], tuple[float, float, float]] | None = None
 
     def support(self, params: dict) -> tuple[float, float]:
         return self.support_fn(params)
@@ -159,6 +167,49 @@ def _hyperexp_pdf(p, t):
     return out
 
 
+# -- windows ------------------------------------------------------------------
+# Each side of a window leaves out about _SIDE_TAIL = 2^-62, so both
+# together stay well below 2^-60; the returned tail is the mass outside
+# the rounded ends, from the family's own distribution function.
+
+_SIDE_TAIL = 2.0 ** -62
+#: standard normal quantile of _SIDE_TAIL, negated (about 8.93)
+_NORMAL_Z = -float(special.ndtri(_SIDE_TAIL))
+#: exp(-_EXP_Z) = _SIDE_TAIL (about 42.98)
+_EXP_Z = -math.log(_SIDE_TAIL)
+
+
+def _normal_window(p):
+    mu, s = p["mu"], p["sigma"]
+    lo, hi = mu - _NORMAL_Z * s, mu + _NORMAL_Z * s
+    return lo, hi, float(special.ndtr((lo - mu) / s) + special.ndtr((mu - hi) / s))
+
+
+def _laplace_window(p):
+    mu, b = p["mu"], p["b"]
+    lo, hi = mu - _EXP_Z * b, mu + _EXP_Z * b
+    return lo, hi, 0.5 * (math.exp((lo - mu) / b) + math.exp((mu - hi) / b))
+
+
+def _gamma_window(k: float, scale: float, power: float = 1.0):
+    """Window of scale * g**power for g ~ Gamma(k, 1)."""
+    lo = scale * float(special.gammaincinv(k, _SIDE_TAIL)) ** power
+    hi = scale * float(special.gammainccinv(k, _SIDE_TAIL)) ** power
+    g = lambda t: (t / scale) ** (1.0 / power)
+    return lo, hi, float(special.gammainc(k, g(lo)) + special.gammaincc(k, g(hi)))
+
+
+def _hyperexp_window(p):
+    branches = [(p[f"p{i}"], p[f"lam{i}"]) for i in range(1, _hyperexp_branches(p) + 1)]
+    hi = _EXP_Z / min(lam for _, lam in branches)
+    return 0.0, hi, math.fsum(w * math.exp(-lam * hi) for w, lam in branches)
+
+
+def _hyperexp_kinks(p):
+    # each branch's own window end, so quadrature sees a fast branch's mass
+    return tuple(sorted(_EXP_Z / p[f"lam{i}"] for i in range(1, _hyperexp_branches(p) + 1)))
+
+
 def _hyperexp_branches(p: dict) -> int:
     k = 0
     while f"p{k + 1}" in p:
@@ -201,6 +252,13 @@ def _wrapped_normal_pdf(p, t):
     return out
 
 
+def _wrapped_normal_kinks(p):
+    # a narrow peak gets breakpoints at its centre and 9 sigma either side
+    if p["sigma"] > 0.5:
+        return ()
+    return tuple(sorted({(p["mu"] + s * 9.0 * p["sigma"]) % TWO_PI for s in (-1, 0, 1)}))
+
+
 def _wrapped_exp_pdf(p, t):
     lam = p["lam"]
     return lam * np.exp(-lam * t) / (1.0 - math.exp(-TWO_PI * lam))
@@ -234,30 +292,36 @@ def _pareto_support(p):
     return p["xm"], math.inf
 
 
-register(DensityFamily("normal", _LINE, _normal_pdf, _v_loc_scale("sigma")))
+register(DensityFamily("normal", _LINE, _normal_pdf, _v_loc_scale("sigma"),
+                       window=_normal_window))
 register(DensityFamily("laplace", _LINE, _laplace_pdf, _v_loc_scale("b"),
-                       kinks=lambda p: (p["mu"],)))
+                       kinks=lambda p: (p["mu"],), window=_laplace_window))
 register(DensityFamily("cauchy", _LINE, _cauchy_pdf, _v_loc_scale("gamma")))
 register(DensityFamily("gamma", _HALF, _open_support(_gamma_pdf, _HALF),
-                       lambda p: _positive(p, "k", "theta")))
+                       lambda p: _positive(p, "k", "theta"),
+                       window=lambda p: _gamma_window(p["k"], p["theta"])))
 register(DensityFamily("chi2", _HALF, _open_support(_chi2_pdf, _HALF),
-                       lambda p: _positive(p, "n")))
+                       lambda p: _positive(p, "n"),
+                       window=lambda p: _gamma_window(0.5 * p["n"], 2.0)))
 register(DensityFamily("levy", _HALF, _open_support(_levy_pdf, _HALF),
                        lambda p: _positive(p, "c")))
 register(DensityFamily("maxwell", _HALF, _open_support(_maxwell_pdf, _HALF),
-                       lambda p: _positive(p, "a")))
+                       lambda p: _positive(p, "a"),
+                       # t = a sqrt(2 g) for g ~ Gamma(3/2, 1)
+                       window=lambda p: _gamma_window(1.5, math.sqrt(2.0) * p["a"], 0.5)))
 register(DensityFamily("pareto", _pareto_support, _open_support(_pareto_pdf, _pareto_support),
                        lambda p: _positive(p, "alpha", "xm")))
 register(DensityFamily("beta", _UNIT, _open_support(_beta_pdf, _UNIT),
                        lambda p: _positive(p, "a", "b")))
 register(DensityFamily("arcsine", _UNIT, _open_support(_arcsine_pdf, _UNIT), lambda p: None))
 register(DensityFamily("exponential", _HALF, _open_support(_expon_pdf, _HALF),
-                       lambda p: _positive(p, "lam")))
+                       lambda p: _positive(p, "lam"),
+                       window=lambda p: _hyperexp_window({"p1": 1.0, "lam1": p["lam"]})))
 register(DensityFamily("hyperexponential", _HALF, _open_support(_hyperexp_pdf, _HALF),
-                       _hyperexp_validate))
+                       _hyperexp_validate, kinks=_hyperexp_kinks, window=_hyperexp_window))
 register(DensityFamily("wrapped_cauchy", _CIRCLE, _wrapped_cauchy_pdf,
                        _v_loc_scale("gamma"), circular=True))
 register(DensityFamily("wrapped_normal", _CIRCLE, _wrapped_normal_pdf,
-                       _wrapped_normal_validate, circular=True))
+                       _wrapped_normal_validate, circular=True, kinks=_wrapped_normal_kinks))
 register(DensityFamily("wrapped_exponential", _CIRCLE, _wrapped_exp_pdf,
                        lambda p: _positive(p, "lam"), circular=True))

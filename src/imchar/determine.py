@@ -17,13 +17,15 @@ mu = 2 * (m_a)+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from imchar import densities
 from imchar.charfn import default_dual_grid, psd_check, sample_cf
 from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
-from imchar.domains import BorelSet, GroupDomain, canonical_point, negate_point
+from imchar.domains import _KINDS, BorelSet, GroupDomain, canonical_point, negate_point
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
 from imchar.measures import (SignedMeasure, add, build_measure, mass,
@@ -34,14 +36,21 @@ from imchar.measures import (SignedMeasure, add, build_measure, mass,
 NORM_TOLERANCE = 1e-6
 #: mass precision a probability measure input must meet
 MASS_TOLERANCE = 1e-9
+#: relative length a density piece and a reflected one must share to
+#: count as overlapping: ten times the width to which sign changes are
+#: bisected, so two ends that meet at a rounded root do not count
+_OVERLAP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class DeterminationVerdict:
     """Outcome of a determination test.
 
-    norm_im is None when the verdict came from the support criterion,
-    which certifies determination without computing the norm.
+    method is "NormTest" when the verdict compares norm_im with
+    1 - tolerance, "ReflectionOverlap" when m and its reflection
+    provably share mass (not determined, whatever the float norm reads),
+    and "SupportCriterion" when a set certifies determination; norm_im
+    is None in that last case, which does not compute the norm.
     """
 
     norm_im: float | None
@@ -100,11 +109,58 @@ def bnorm_im(m: SignedMeasure) -> float:
 
 
 def is_determined(m: SignedMeasure, tolerance: float = NORM_TOLERANCE) -> DeterminationVerdict:
-    """Norm test: Im f determines f iff the norm reaches 1 (within tolerance)."""
+    """Norm test: Im f determines f iff the norm reaches 1 (within tolerance).
+
+    The norm is 1 - ||m ∧ m~||, one minus the mass m shares with its
+    reflection m~, and a float cannot show a shared mass far below the
+    tolerance (a normal density centred at 200 shares about 1e-8700).
+    So a norm that reaches 1 - tolerance is trusted only when no such
+    overlap is evident: if an atom and its inverse both carry positive
+    weight (an atom at a self-inverse point counts), or a positive
+    density piece meets the reflection of one over more than a rounded
+    root's width, the verdict is "not determined" by method
+    "ReflectionOverlap", with the norm as computed.
+    """
     if not (0.0 < tolerance < 1.0):
         raise ParameterError(f"tolerance must sit in (0, 1), got {tolerance}")
-    norm = bnorm_im(m)
+    return _norm_verdict(m, bnorm_im(m), tolerance)
+
+
+def _norm_verdict(m: SignedMeasure, norm: float, tolerance: float) -> DeterminationVerdict:
+    if norm >= 1.0 - tolerance and _shares_mass_with_reflection(m):
+        return DeterminationVerdict(norm, False, "ReflectionOverlap", tolerance)
     return DeterminationVerdict(norm, norm >= 1.0 - tolerance, "NormTest", tolerance)
+
+
+def _shares_mass_with_reflection(m: SignedMeasure) -> bool:
+    weights = {a.t: a.w for a in m.atoms}
+    if any(w > 0.0 and weights.get(negate_point(m.domain, t), 0.0) > 0.0
+           for t, w in weights.items()):
+        return True
+    pieces = [p for seg in m.density for p in _positive_pieces(m.domain, seg)]
+    mirror = _KINDS[m.domain.kind].mirror
+    for lo, hi in pieces:
+        for rlo, rhi in (mirror(c, d) for c, d in pieces):
+            a, b = max(lo, rlo), min(hi, rhi)
+            if a < b and (math.isinf(b - a) or b - a > _OVERLAP_TOL * max(1.0, abs(a), abs(b))):
+                return True
+    return False
+
+
+def _positive_pieces(domain: GroupDomain, seg) -> list[tuple[float, float]]:
+    """The sign +1 pieces of a segment, cut to where its density can be
+    nonzero: the whole segment if it has a polynomial part, else the
+    supports of its positive named terms (mirrored for reflected ones),
+    since a named segment may run past its families' supports."""
+    if any(seg.coeffs or ()):
+        carriers = [(seg.lower, seg.upper)]
+    else:
+        mirror = _KINDS[domain.kind].mirror
+        carriers = [mirror(*densities.family(nt.name).support(nt.params_dict)) if nt.reflected
+                    else densities.family(nt.name).support(nt.params_dict)
+                    for nt in seg.named if nt.weight > 0.0]
+    return [(max(lo, c), min(hi, d)) for lo, hi, sgn in sign_subsegments(domain, seg)
+            if sgn > 0 for c, d in carriers if max(lo, c) < min(hi, d)]
 
 
 def support_criterion_check(m: SignedMeasure, u: BorelSet,
@@ -146,17 +202,20 @@ def companion(m: SignedMeasure, sigma="zero",
     """A different probability measure whose transform has the same
     imaginary part as m's.
 
-    Exists exactly when the norm of Im f stays below 1; inside the
-    tolerance band around 1 this raises PreconditionError (the measure
-    is determined there; see reconstruct). The companion is
-    2*(m_a)+ plus (1 - norm) times the chosen symmetric sigma.
+    Exists exactly when the norm of Im f stays below 1. This raises
+    PreconditionError where is_determined says "determined" (see
+    reconstruct): inside the tolerance band around 1 unless m provably
+    shares mass with its reflection, in which case the companion is
+    built and may differ from m by less than the float norm can show.
+    The companion is 2*(m_a)+ plus (1 - norm) times the chosen
+    symmetric sigma.
     """
     require_probability(m)
     if m.domain.kind == "Rbox":
         raise UnsupportedDomainError("companions are not constructed on Rbox products")
     eta = sym_anti_split(m).antisymmetric_part
     norm = total_variation(eta)
-    if norm >= 1.0 - tolerance:
+    if _norm_verdict(m, norm, tolerance).determined:
         raise PreconditionError(
             f"norm of the imaginary part is {norm:.12g}, within {tolerance:.1e} of 1: "
             "the imaginary part already determines the transform and no "

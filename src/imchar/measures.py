@@ -327,7 +327,9 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
                     xs) -> list:
     """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d].
 
-    One (value, error, warned) triple per dual point x of xs.
+    One (value, error, warned) triple per dual point x of xs. A family
+    with a window is integrated over the window only, and the mass it
+    leaves out joins every error.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -335,13 +337,14 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
         # mirror onto the family's own orientation; e^{ixt} picks up a
         # conjugate because the substitution flips the sign of the phase
         c, d = _KINDS[domain.kind].mirror(c, d)
-    slo, shi = fam.support(params)
+    slo, shi, tail = fam.window(params) if fam.window else (*fam.support(params), 0.0)
     lo, hi = max(c, slo), min(d, shi)
+    tail_err = abs(nt.weight) * tail
     if lo >= hi:
-        return [(0.0, 0.0, False)] * len(xs)
+        return [(0.0, tail_err, False)] * len(xs)
     pdf = lambda t: float(fam.pdf(params, t))
-    # a kink inside [lo, hi] becomes a piece boundary: quadrature rules
-    # assume a smooth integrand inside each piece
+    # a kink or a narrow peak's edge inside [lo, hi] becomes a piece
+    # boundary: quadrature rules assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     # The cos and sin integrals, every piece and the fallback route ask
     # for nearly the same nodes, so the pdf is read through one table
@@ -362,7 +365,8 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     for x in xs:
         if x == 0.0:
             r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
-            out.append((nt.weight * r.value, abs(nt.weight) * r.error, r.warned))
+            out.append((nt.weight * r.value, abs(nt.weight) * r.error + tail_err,
+                        r.warned))
             continue
         if not grid_wide:
             table.clear()
@@ -371,7 +375,8 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
-        out.append((nt.weight * val, abs(nt.weight) * (re.error + im.error),
+        out.append((nt.weight * val,
+                    abs(nt.weight) * (re.error + im.error) + tail_err,
                     re.warned or im.warned))
     return out
 

@@ -40,21 +40,24 @@ def _oracle_named(domain, nt, c, d, x):
     params = nt.params_dict
     if nt.reflected:
         c, d = _KINDS[domain.kind].mirror(c, d)
-    slo, shi = fam.support(params)
+    # the family's window where it has one, with the mass it leaves out
+    slo, shi, tail = fam.window(params) if fam.window else (*fam.support(params), 0.0)
     lo, hi = max(c, slo), min(d, shi)
+    tail_err = abs(nt.weight) * tail
     if lo >= hi:
-        return 0.0, 0.0, False
+        return 0.0, tail_err, False
     pdf = lambda t: float(fam.pdf(params, t))
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     if x == 0.0:
         r = _oracle_piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
-        return nt.weight * r.value, abs(nt.weight) * r.error, r.warned
+        return nt.weight * r.value, abs(nt.weight) * r.error + tail_err, r.warned
     re = _oracle_piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "cos"), cuts)
     im = _oracle_piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "sin"), cuts)
     val = complex(re.value, im.value)
     if nt.reflected:
         val = val.conjugate()
-    return nt.weight * val, abs(nt.weight) * (re.error + im.error), re.warned or im.warned
+    return (nt.weight * val, abs(nt.weight) * (re.error + im.error) + tail_err,
+            re.warned or im.warned)
 
 
 def _oracle(m, x):
