@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
-from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, add,
-                             build_measure, measure_of, reflect, scale,
-                             sign_subsegments, subtract, total_variation)
+from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, _sign_pieces,
+                             add, build_measure, mass, measure_of, reflect, scale,
+                             subtract, total_variation)
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,12 @@ def hahn_jordan(m: SignedMeasure) -> JordanPair:
     pos_segs: list[DensitySegment] = []
     neg_segs: list[DensitySegment] = []
     neg_spans: list[tuple] = []
-    for seg in m.density:
-        for lo, hi, sgn in sign_subsegments(domain, seg):
-            if sgn > 0:
-                pos_segs.append(DensitySegment(lo, hi, seg.coeffs, seg.named))
-            elif sgn < 0:
-                neg_segs.append(_negate_segment(DensitySegment(lo, hi, seg.coeffs, seg.named)))
-                neg_spans.append((lo, hi, False, False))
+    for seg, lo, hi, sgn in _sign_pieces(m):
+        if sgn > 0:
+            pos_segs.append(DensitySegment(lo, hi, seg.coeffs, seg.named))
+        elif sgn < 0:
+            neg_segs.append(_negate_segment(DensitySegment(lo, hi, seg.coeffs, seg.named)))
+            neg_spans.append((lo, hi, False, False))
 
     positive = build_measure(domain, pos_atoms, pos_segs)
     negative = build_measure(domain, neg_atoms, neg_segs)
@@ -130,14 +129,15 @@ def v_set_certificate(eta: SignedMeasure, tol: float = 1e-9) -> VSetCertificate:
     """Build V = A+ ∩ (-A-) for antisymmetric eta and report its masses.
 
     Raises PreconditionError when eta is not antisymmetric within tol.
-    The returned masses are (eta+(V), ||eta+||, ||eta-||, eta-(-V)).
+    The returned masses are (eta+(V), ||eta+||, ||eta-||, eta-(-V)); the
+    Jordan parts are nonnegative, so their norms are their masses.
     """
     require_antisymmetric(eta, tol)
     jp = hahn_jordan(eta)
     v = jp.hahn_positive.intersect(jp.hahn_negative.negate())
     disjoint = v.intersect(v.negate()).is_empty()
     masses = (measure_of(jp.positive_part, v),
-              total_variation(jp.positive_part),
-              total_variation(jp.negative_part),
+              mass(jp.positive_part),
+              mass(jp.negative_part),
               measure_of(jp.negative_part, v.negate()))
     return VSetCertificate(v, disjoint, masses)

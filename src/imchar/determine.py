@@ -25,20 +25,21 @@ import numpy as np
 from imchar import densities
 from imchar.charfn import default_dual_grid, psd_check, sample_cf
 from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
-from imchar.domains import _KINDS, BorelSet, GroupDomain, canonical_point, negate_point
+from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain, canonical_point,
+                            negate_point)
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
-from imchar.measures import (SignedMeasure, add, build_measure, mass,
-                             measure_of, point_mass, scale, segment_mass,
-                             sign_subsegments, total_variation)
+from imchar.measures import (_ULP, SignedMeasure, _sign_pieces, add, build_measure,
+                             mass, measure_of, point_mass, scale, segment_mass,
+                             total_variation)
 
 #: default decision tolerance for the norm-equals-one test
 NORM_TOLERANCE = 1e-6
 #: mass precision a probability measure input must meet
 MASS_TOLERANCE = 1e-9
 #: relative length a density piece and a reflected one must share to
-#: count as overlapping: ten times the width to which sign changes are
-#: bisected, so two ends that meet at a rounded root do not count
+#: count as overlapping: ten times the width within which sign changes
+#: are solved, so two ends that meet at a rounded root do not count
 _OVERLAP_TOL = 1e-11
 
 
@@ -87,11 +88,10 @@ def require_probability(m: SignedMeasure, tol: float = MASS_TOLERANCE):
         if a.w < -tol:
             raise PreconditionError(f"probability measure expected: atom at {a.t} "
                                     f"has negative weight {a.w}")
-    for seg in m.density:
-        for lo, hi, sgn in sign_subsegments(m.domain, seg):
-            if sgn < 0 and segment_mass(m.domain, seg, lo, hi)[0] < -tol:
-                raise PreconditionError("probability measure expected: density "
-                                        f"goes negative inside [{seg.lower}, {seg.upper}]")
+    for seg, lo, hi, sgn in _sign_pieces(m):
+        if sgn < 0 and segment_mass(m.domain, seg, lo, hi)[0] < -tol:
+            raise PreconditionError("probability measure expected: density "
+                                    f"goes negative inside [{seg.lower}, {seg.upper}]")
 
 
 def bnorm_im(m: SignedMeasure) -> float:
@@ -137,7 +137,7 @@ def _shares_mass_with_reflection(m: SignedMeasure) -> bool:
     if any(w > 0.0 and weights.get(negate_point(m.domain, t), 0.0) > 0.0
            for t, w in weights.items()):
         return True
-    pieces = [p for seg in m.density for p in _positive_pieces(m.domain, seg)]
+    pieces = _positive_pieces(m)
     mirror = _KINDS[m.domain.kind].mirror
     for lo, hi in pieces:
         for rlo, rhi in (mirror(c, d) for c, d in pieces):
@@ -147,20 +147,24 @@ def _shares_mass_with_reflection(m: SignedMeasure) -> bool:
     return False
 
 
-def _positive_pieces(domain: GroupDomain, seg) -> list[tuple[float, float]]:
-    """The sign +1 pieces of a segment, cut to where its density can be
-    nonzero: the whole segment if it has a polynomial part, else the
-    supports of its positive named terms (mirrored for reflected ones),
-    since a named segment may run past its families' supports."""
-    if any(seg.coeffs or ()):
-        carriers = [(seg.lower, seg.upper)]
-    else:
-        mirror = _KINDS[domain.kind].mirror
-        carriers = [mirror(*densities.family(nt.name).support(nt.params_dict)) if nt.reflected
-                    else densities.family(nt.name).support(nt.params_dict)
-                    for nt in seg.named if nt.weight > 0.0]
-    return [(max(lo, c), min(hi, d)) for lo, hi, sgn in sign_subsegments(domain, seg)
-            if sgn > 0 for c, d in carriers if max(lo, c) < min(hi, d)]
+def _positive_pieces(m: SignedMeasure) -> list[tuple[float, float]]:
+    """The sign +1 pieces of m's density, each cut to where its segment
+    can be nonzero: the whole segment if it has a polynomial part, else
+    the supports of its positive named terms (mirrored for reflected
+    ones), since a named segment may run past its families' supports."""
+    mirror = _KINDS[m.domain.kind].mirror
+    out = []
+    for seg, lo, hi, sgn in _sign_pieces(m):
+        if sgn <= 0:
+            continue
+        if any(seg.coeffs or ()):
+            carriers = [(seg.lower, seg.upper)]
+        else:
+            carriers = [mirror(*densities.family(nt.name).support(nt.params_dict)) if nt.reflected
+                        else densities.family(nt.name).support(nt.params_dict)
+                        for nt in seg.named if nt.weight > 0.0]
+        out += [(max(lo, c), min(hi, d)) for c, d in carriers if max(lo, c) < min(hi, d)]
+    return out
 
 
 def support_criterion_check(m: SignedMeasure, u: BorelSet,
@@ -208,7 +212,9 @@ def companion(m: SignedMeasure, sigma="zero",
     shares mass with its reflection, in which case the companion is
     built and may differ from m by less than the float norm can show.
     The companion is 2*(m_a)+ plus (1 - norm) times the chosen
-    symmetric sigma.
+    symmetric sigma. InternalCheckError is raised when it misses unit
+    mass, has a negative atom, or its imaginary part leaves m's by more
+    than the error bounds of the two transforms on the default grid.
     """
     require_probability(m)
     if m.domain.kind == "Rbox":
@@ -232,9 +238,22 @@ def companion(m: SignedMeasure, sigma="zero",
             raise InternalCheckError(f"companion atom at {a.t} came out negative: {a.w}")
 
     grid = default_dual_grid(m.domain, grid_points)
-    fm, fn = sample_cf(m, grid).values, sample_cf(nu, grid).values
-    d_im = float(np.max(np.abs(fm.imag - fn.imag), initial=0.0))
-    d_all = float(np.max(np.abs(fm - fn), initial=0.0))
+    sm, sn = sample_cf(m, grid), sample_cf(nu, grid)
+    gaps = np.abs(sm.values.imag - sn.values.imag)
+    # sample_cf's errors leave out atom sums: a phase is off by at most
+    # _ULP |x| (|t| + 2 pi), the 2 pi for a location mirrored on T, and each
+    # term added rounds by _ULP of itself and of a partial sum, within f(0) = 1
+    atoms = m.atoms + nu.atoms
+    spread = math.fsum(abs(a.w) * (abs(a.t) + TWO_PI) for a in atoms)
+    terms = len(atoms) + len(m.density) + len(nu.density)
+    bound = sm.errors + sn.errors + _ULP * (np.abs(np.asarray(grid, float)) * spread + 2 * terms)
+    over = np.flatnonzero(gaps > bound)
+    if over.size:
+        i = over[0]
+        raise InternalCheckError(f"companion imaginary part misses the original's by {gaps[i]:.3e}"
+                                 f" at x = {grid[i]}, beyond its bound {bound[i]:.3e}")
+    d_im = float(np.max(gaps, initial=0.0))
+    d_all = float(np.max(np.abs(sm.values - sn.values), initial=0.0))
     return CompanionResult(m, nu, label, norm, d_im, d_all)
 
 

@@ -22,22 +22,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.optimize import brentq
 
 from imchar import densities
 from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain,
                             canonical_point, check_same_domain, negate_point)
-from imchar.errors import (ParameterError, PreconditionError,
-                           UnsupportedDomainError)
+from imchar.errors import ParameterError, UnsupportedDomainError
 from imchar.quadrature import QuadResult, integrate_fn, integrate_trig
 
-#: sampling resolution for sign-change isolation on named segments
+#: sign-change isolation on named segments samples the segment at
+#: _SIGN_SAMPLES points and each windowed term's window at _WINDOW_SAMPLES
 _SIGN_SAMPLES = 4096
-#: bisection width target when isolating a density sign change
-_ROOT_TOL = 1e-12
+_WINDOW_SAMPLES = 256
+#: brentq's xtol and rtol: a root lands within 5e-13 (1 + |t|) <= 1e-12 max(1, |t|)
+_ROOT_TOL = 5e-13
 
 
 @dataclass(frozen=True)
@@ -430,100 +432,86 @@ def sign_subsegments(domain: GroupDomain, seg: DensitySegment) -> list[tuple[flo
     Returns (lo, hi, sign) triples covering [seg.lower, seg.upper] in
     order, sign in {-1, 0, +1}. Polynomial-only segments use exact
     roots; anything involving named terms is sampled and the isolated
-    sign changes are bisected to ~1e-12. Pieces where the density
-    vanishes identically come back with sign 0.
+    sign changes are solved to within 1e-12 max(1, |t|). Pieces where
+    the density vanishes identically come back with sign 0.
     """
-    if not seg.coeffs and seg.named:
-        signs = {1 if nt.weight > 0 else -1 for nt in seg.named}
-        if signs == {1}:
-            return [(seg.lower, seg.upper, 1)]
-        if signs == {-1}:
-            return [(seg.lower, seg.upper, -1)]
+    signs = {1 if nt.weight > 0 else -1 for nt in seg.named}
+    if not seg.coeffs and len(signs) == 1:
+        return [(seg.lower, seg.upper, signs.pop())]
     if seg.coeffs and not seg.named:
         return _poly_subsegments(seg)
     return _sampled_subsegments(domain, seg)
 
 
 def _poly_subsegments(seg: DensitySegment) -> list[tuple[float, float, int]]:
-    coeffs = seg.coeffs
-    roots = []
-    if len(coeffs) > 1:
-        rr = npoly.polyroots(coeffs)
-        scale = max(1.0, abs(seg.lower), abs(seg.upper))
-        for z in rr:
-            if abs(z.imag) <= 1e-12 * scale and seg.lower < z.real < seg.upper:
-                roots.append(float(z.real))
-    cuts = [seg.lower] + sorted(set(roots)) + [seg.upper]
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        if a >= b:
-            continue
-        v = float(npoly.polyval(0.5 * (a + b), coeffs))
-        pieces.append((a, b, 0 if v == 0.0 else (1 if v > 0.0 else -1)))
-    return _fuse_same_sign(pieces)
-
-
-def _sample_grid(lower: float, upper: float) -> np.ndarray:
-    u = (np.arange(_SIGN_SAMPLES) + 0.5) / _SIGN_SAMPLES
-    lo_inf, hi_inf = math.isinf(lower), math.isinf(upper)
-    if not lo_inf and not hi_inf:
-        return lower + (upper - lower) * u
-    if lo_inf and hi_inf:
-        return np.tan(math.pi * (u - 0.5))
-    if hi_inf:
-        return lower + u / (1.0 - u)
-    return upper - u[::-1] / (1.0 - u[::-1])
+    lo, hi = seg.lower, seg.upper
+    scale = max(1.0, abs(lo), abs(hi))
+    roots = sorted({float(z.real) for z in npoly.polyroots(seg.coeffs)
+                    if abs(z.imag) <= 1e-12 * scale and lo < z.real < hi})
+    cuts = [lo, *roots, hi]
+    signs = np.sign(npoly.polyval(0.5 * (np.array(cuts[:-1]) + cuts[1:]), seg.coeffs))
+    return _fuse_same_sign([(a, b, int(sg)) for a, b, sg in zip(cuts, cuts[1:], signs)])
 
 
 def _sampled_subsegments(domain, seg) -> list[tuple[float, float, int]]:
-    ts = _sample_grid(seg.lower, seg.upper)
-    vals = np.asarray(segment_value(domain, seg, ts), dtype=float)
-    signs = np.sign(vals)
-    live = np.nonzero(signs)[0]
-    roots = []
-    for i, j in zip(live, live[1:]):
-        if signs[i] * signs[j] < 0:
-            roots.append(_bisect_sign_change(domain, seg, ts[i], ts[j]))
-    cuts = [seg.lower] + roots + [seg.upper]
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        if a >= b:
-            continue
-        inside = ts[(ts > a) & (ts < b)]
-        if inside.size:
-            v = segment_value(domain, seg, inside)
-            k = int(np.argmax(np.abs(v)))
-            s = float(v[k])
-        else:
-            s = float(segment_value(domain, seg, np.array([0.5 * (a + b)]))[0])
-        pieces.append((a, b, 0 if s == 0.0 else (1 if s > 0.0 else -1)))
-    return _fuse_same_sign(pieces)
-
-
-def _bisect_sign_change(domain, seg, a: float, b: float) -> float:
-    fa = float(segment_value(domain, seg, np.array([a]))[0])
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= _ROOT_TOL * max(1.0, abs(mid)):
-            return mid
-        fm = float(segment_value(domain, seg, np.array([mid]))[0])
-        if fm == 0.0:
-            return mid
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    # _SIGN_SAMPLES points cover the segment, through a tan map where it is
+    # unbounded. The map spaces them about pi t^2 / _SIGN_SAMPLES apart, wider
+    # than a narrow peak far from 0, so each windowed term's window (mirrored
+    # for a reflected term) gets _WINDOW_SAMPLES of its own; window-less
+    # families are heavy-tailed or bounded and stay visible to the map.
+    lower, upper = seg.lower, seg.upper
+    u = (np.arange(_SIGN_SAMPLES) + 0.5) / _SIGN_SAMPLES
+    if math.isfinite(lower) and math.isfinite(upper):
+        ts = [lower + (upper - lower) * u]
+    elif math.isinf(lower) and math.isinf(upper):
+        ts = [np.tan(math.pi * (u - 0.5))]
+    elif math.isinf(upper):
+        ts = [lower + u / (1.0 - u)]
+    else:
+        ts = [upper - u[::-1] / (1.0 - u[::-1])]
+    for nt in seg.named:
+        fam = densities.family(nt.name)
+        if fam.window:
+            c, d, _ = fam.window(nt.params_dict)
+            c, d = _KINDS[domain.kind].mirror(c, d) if nt.reflected else (c, d)
+            c, d = max(c, lower), min(d, upper)
+            if c < d:
+                ts.append(c + (d - c) * (np.arange(_WINDOW_SAMPLES) + 0.5) / _WINDOW_SAMPLES)
+    ts = np.unique(np.concatenate(ts))
+    signs = np.sign(segment_value(domain, seg, ts))
+    live = np.flatnonzero(signs)
+    if not live.size:
+        return [(lower, upper, 0)]
+    # between two consecutive nonzero samples of opposite sign lies a root;
+    # each piece takes the sign of the run of samples it holds
+    flips = np.flatnonzero(signs[live[1:]] != signs[live[:-1]])
+    density = lambda t: float(segment_value(domain, seg, [t])[0])
+    roots = [brentq(density, ts[live[k]], ts[live[k + 1]], xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+             for k in flips]
+    cuts = [lower, *roots, upper]
+    run_signs = signs[live[np.concatenate(([0], flips + 1))]]
+    return _fuse_same_sign([(a, b, int(sg)) for a, b, sg in zip(cuts, cuts[1:], run_signs)
+                            if a < b])
 
 
 def _fuse_same_sign(pieces):
     out = []
-    for p in pieces:
-        if out and out[-1][2] == p[2] and out[-1][1] == p[0]:
-            out[-1] = (out[-1][0], p[1], p[2])
-        else:
-            out.append(list(p) if isinstance(p, tuple) else p)
-    return [tuple(p) for p in out]
+    for lo, hi, sgn in pieces:
+        if out and out[-1][2] == sgn:
+            lo = out.pop()[0]
+        out.append((lo, hi, sgn))
+    return out
+
+
+def _sign_pieces(m: SignedMeasure) -> tuple:
+    """(segment, lo, hi, sign) for every single-signed piece of m's density,
+    isolated once per measure and kept on it, since measures are immutable."""
+    pieces = m.__dict__.get("_sign_pieces_memo")
+    if pieces is None:
+        pieces = tuple((seg, lo, hi, sgn) for seg in m.density
+                       for lo, hi, sgn in sign_subsegments(m.domain, seg))
+        object.__setattr__(m, "_sign_pieces_memo", pieces)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +529,12 @@ def mass(m: SignedMeasure) -> float:
 
 def total_variation(m: SignedMeasure) -> float:
     """The total variation norm ||m||: atom |weights| plus integral of |density|."""
-    cached = m.__dict__.get("_tv_cache")
-    if cached is not None:
-        return cached
     if m.factors:
-        tv = math.prod(total_variation(f) for f in m.factors)
-    else:
-        parts = [math.fsum(abs(a.w) for a in m.atoms)]
-        for seg in m.density:
-            for lo, hi, sgn in sign_subsegments(m.domain, seg):
-                if sgn != 0:
-                    parts.append(abs(segment_mass(m.domain, seg, lo, hi)[0]))
-        tv = math.fsum(parts)
-    object.__setattr__(m, "_tv_cache", tv)
-    return tv
+        return math.prod(total_variation(f) for f in m.factors)
+    parts = [math.fsum(abs(a.w) for a in m.atoms)]
+    parts += [abs(segment_mass(m.domain, seg, lo, hi)[0])
+              for seg, lo, hi, sgn in _sign_pieces(m) if sgn != 0]
+    return math.fsum(parts)
 
 
 def scale(m: SignedMeasure, c: float) -> SignedMeasure:

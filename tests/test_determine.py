@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import helpers
+from imchar import decompose, determine, measures
 from imchar.charfn import eval_cf, im_cf
-from imchar.decompose import sym_anti_split
+from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
 from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
                               require_probability, sigma_measure,
                               support_criterion_check,
                               support_criterion_verdict)
 from imchar.domains import INTEGERS, REAL_LINE, BorelSet, real_box
-from imchar.errors import ParameterError, PreconditionError
+from imchar.errors import InternalCheckError, ParameterError, PreconditionError
 from imchar.measures import (from_atoms, named_density_measure, point_mass,
                              poly_density_measure, product_measure, scale,
                              subtract, total_variation)
@@ -202,3 +203,41 @@ def test_off_center_laplace_verdict():
     verdict = is_determined(m)
     assert not verdict.determined
     assert verdict.norm_im == pytest.approx(1.0 - math.exp(-abs(mu) / b), abs=1e-9)
+
+
+def test_companion_checks_its_imaginary_part(monkeypatch):
+    # a Jordan part short of one light atom keeps the mass within the
+    # companion's mass check but moves the imaginary part by about 2e-9
+    m = from_atoms(REAL_LINE, [(1.0, 0.6), (-1.0, 0.4 - 2e-9), (3.0, 2e-9)])
+    assert companion(m).max_im_discrepancy < 1e-15
+
+    def short_of_an_atom(eta):
+        jp = hahn_jordan(eta)
+        pos = from_atoms(REAL_LINE, [(a.t, a.w) for a in jp.positive_part.atoms[:-1]])
+        return decompose.JordanPair(pos, jp.negative_part, jp.hahn_positive, jp.hahn_negative)
+
+    monkeypatch.setattr(determine, "hahn_jordan", short_of_an_atom)
+    with pytest.raises(InternalCheckError, match="imaginary part"):
+        companion(m)
+
+
+def test_signs_are_isolated_once_per_measure(monkeypatch):
+    # the odd part of a two-sided normal is one segment of mixed sign
+    scans, scan = [], measures._sampled_subsegments
+    monkeypatch.setattr(measures, "_sampled_subsegments",
+                        lambda domain, seg: scans.append(seg) or scan(domain, seg))
+    companion(named_density_measure(REAL_LINE, "normal", {"mu": 1.0, "sigma": 1.0}))
+    assert len(scans) == 1
+
+    scans.clear()
+    far = named_density_measure(REAL_LINE, "normal", {"mu": 20.0, "sigma": 1.0})
+    reconstruct(sym_anti_split(far).antisymmetric_part)
+    assert len(scans) == 1
+
+    scans.clear()
+    eta = sym_anti_split(named_density_measure(REAL_LINE, "normal",
+                                               {"mu": 1.0, "sigma": 1.0})).antisymmetric_part
+    hahn_jordan(eta)
+    cert = v_set_certificate(eta)
+    assert len(scans) == 1
+    assert cert.masses[1] == pytest.approx(cert.masses[2], abs=1e-12)

@@ -137,16 +137,29 @@ def test_sign_subsegments_polynomial():
     assert sign_subsegments(REAL_LINE, flat.density[0]) == [(0.0, 2.0, 1)]
 
 
-def test_sign_subsegments_named_difference():
+def _normal(mu):
+    return named_density_measure(REAL_LINE, "normal", {"mu": mu, "sigma": 1.0})
+
+
+def _laplace(mu):
+    return named_density_measure(REAL_LINE, "laplace", {"mu": mu, "b": 1.0})
+
+
+@pytest.mark.parametrize("pos,neg,root,signs", [
     # gamma(2) - gamma(3) densities cross exactly once, at t = 2
-    g2 = named_density_measure(REAL_LINE, "gamma", {"k": 2.0, "theta": 1.0})
-    g3 = named_density_measure(REAL_LINE, "gamma", {"k": 3.0, "theta": 1.0})
-    d = subtract(g2, g3)
+    (named_density_measure(REAL_LINE, "gamma", {"k": 2.0, "theta": 1.0}),
+     named_density_measure(REAL_LINE, "gamma", {"k": 3.0, "theta": 1.0}), 2.0, (1, -1)),
+    (_normal(1.0), _normal(4.0), 2.5, (1, -1)),
+    (_normal(1.0), reflect(_normal(1.0)), 0.0, (-1, 1)),
+    (_laplace(1.0), _laplace(3.0), 2.0, (1, -1)),
+], ids=["gamma2-gamma3", "normal1-normal4", "normal-reflection", "laplace1-laplace3"])
+def test_sign_subsegments_named_difference(pos, neg, root, signs):
+    d = subtract(pos, neg)
     assert len(d.density) == 1
     pieces = sign_subsegments(REAL_LINE, d.density[0])
-    assert len(pieces) == 2
-    assert pieces[0][2] == 1 and pieces[1][2] == -1
-    assert pieces[0][1] == pytest.approx(2.0, abs=1e-9)
+    assert [p[2] for p in pieces] == list(signs)
+    assert abs(pieces[0][1] - root) <= 1e-12 * max(1.0, abs(root))
+    assert pieces[1][0] == pieces[0][1]
 
 
 def test_segment_merging_on_common_span():

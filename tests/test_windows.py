@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from imchar import densities
 from imchar.catalog import classify, make_measure, spec
-from imchar.charfn import eval_cf_with_error
+from imchar.charfn import default_dual_grid, eval_cf_with_error, sample_cf
 from imchar.determine import companion, is_determined
 from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, cyclic
 from imchar.errors import PreconditionError
@@ -236,6 +236,30 @@ def test_near_one_norms_agree_with_the_catalog(name, params):
     assert result.agrees and not result.verdict.determined
     assert result.verdict.method == "ReflectionOverlap"
     assert result.verdict.norm_im >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("name,params,target", [
+    ("normal", {"mu": 600.0, "sigma": 1.0}, 1.0 - 2.0 * mp.ncdf(-600.0)),
+    ("normal", {"mu": 1000.0, "sigma": 1.0}, 1.0 - 2.0 * mp.ncdf(-1000.0)),
+    ("normal", {"mu": 3000.0, "sigma": 1.0}, 1.0 - 2.0 * mp.ncdf(-3000.0)),
+    ("normal", {"mu": 100.0, "sigma": 0.01}, 1.0 - 2.0 * mp.ncdf(-1e4)),
+    ("normal", {"mu": 30.0, "sigma": 0.001}, 1.0 - 2.0 * mp.ncdf(-3e4)),
+    ("laplace", {"mu": 20000.0, "b": 1.0}, 1.0 - mp.exp(-20000.0)),
+])
+def test_narrow_terms_far_from_zero(name, params, target):
+    # the sign scan's tan map spaces samples about pi t^2 / 4096 apart,
+    # wider than these peaks; the scan samples each term's window as well.
+    # The norm is held to the input mass precision, not to the Jordan
+    # parts' error bounds: laplace(20000, 1) misses those by 9x through
+    # the pdf rounding they leave out (strict xfails above)
+    m = make_measure(spec(name, **params))
+    verdict = is_determined(m)
+    assert verdict.method == "ReflectionOverlap" and not verdict.determined
+    assert abs(verdict.norm_im - float(target)) <= 1e-9
+    res = companion(m)
+    grid = default_dual_grid(REAL_LINE, 64)
+    errors = sample_cf(m, grid).errors + sample_cf(res.companion, grid).errors
+    assert res.max_im_discrepancy <= errors.max()
 
 
 @pytest.mark.parametrize("domain,atoms", [
