@@ -6,8 +6,9 @@ The transform convention is the probabilist's one,
 
 with the dual variable per domain: real x for measures on R, integer
 frequencies for measures on T, angles in [0, 2*pi) for measures on Z,
-and residues mod n for measures on Z_n. Atom sums are exact complex
-exponential sums; density segments go through ``measures.segment_mass``,
+and residues mod n for measures on Z_n. Atom sums are direct complex
+exponential sums whose rounding joins each point's error bound; density
+segments go through ``measures.segment_mass``,
 the one segment integral, whose value at x = 0 is the mass. Product
 measures on Rbox are not evaluated here (classification there uses the
 support criterion), matching the representation's scope.
@@ -15,13 +16,14 @@ support criterion), matching the representation's scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from imchar.domains import _KINDS, GroupDomain
+from imchar.domains import _KINDS, TWO_PI, GroupDomain
 from imchar.errors import ParameterError, UnsupportedDomainError
-from imchar.measures import SignedMeasure, segment_mass
+from imchar.measures import _ULP, SignedMeasure, segment_mass
 
 #: Gram matrices above this order are refused (dense eigensolve budget)
 MAX_GRAM_ORDER = 64
@@ -53,22 +55,29 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
     """Values, additive error bounds and warning flags on a grid of dual points.
 
     Density segments are the outer loop and the dual points the inner
-    one, so each segment integral sees the whole grid.
+    one, so each segment integral sees the whole grid. The bound covers
+    the atom sum too: each phase is off by at most _ULP |x| (|t| + 2 pi),
+    the 2 pi for a location mirrored on T, each product and each addition
+    rounds by _ULP of the atoms' total |weight|, and each segment added to
+    a nonzero partial sum rounds by _ULP of the new sum.
     """
     row = _KINDS[m.domain.kind]
     xs = [row.dual(m.domain, x) for x in points]
-    values = []
-    for xv in xs:
+    grid = [float(xv) for xv in xs]
+    values, errors = [], []
+    spread = math.fsum(abs(a.w) * (abs(a.t) + TWO_PI) for a in m.atoms)
+    rounding = 2 * len(m.atoms) * math.fsum(abs(a.w) for a in m.atoms)
+    for xv, xf in zip(xs, grid):
         total = 0j
         for a in m.atoms:
             total += a.w * row.phase(m.domain, a.t, xv)
         values.append(total)
-    errors, warned = [0.0] * len(xs), [False] * len(xs)
-    grid = [float(xv) for xv in xs]
-    for seg in m.density:
+        errors.append(_ULP * (abs(xf) * spread + rounding))
+    warned = [False] * len(xs)
+    for k, seg in enumerate(m.density):
         for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid)):
             values[i] += v
-            errors[i] += e
+            errors[i] += e + (_ULP * abs(values[i]) if k or m.atoms else 0.0)
             warned[i] = warned[i] or w
     return values, errors, warned
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
-from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, _sign_pieces,
-                             add, build_measure, mass, measure_of, reflect, scale,
-                             subtract, total_variation)
+from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, _memo,
+                             _sign_pieces, add, build_measure, mass, measure_of,
+                             reflect, scale, subtract, total_variation)
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,16 @@ class VSetCertificate:
 
 
 def sym_anti_split(m: SignedMeasure) -> SymAntiSplit:
-    """Split m into its symmetric and antisymmetric parts (m = s + a)."""
-    r = reflect(m)
-    sym = scale(add(m, r), 0.5)
-    anti = scale(subtract(m, r), 0.5)
-    return SymAntiSplit(sym, anti)
+    """Split m into its symmetric and antisymmetric parts (m = s + a).
+
+    The split is built once per measure and kept on it, since measures
+    are immutable, so every caller reads the same antisymmetric part and
+    the signs isolated on it once.
+    """
+    def build(m):
+        r = reflect(m)
+        return SymAntiSplit(scale(add(m, r), 0.5), scale(subtract(m, r), 0.5))
+    return _memo(m, "_split_memo", build)
 
 
 def hahn_jordan(m: SignedMeasure) -> JordanPair:

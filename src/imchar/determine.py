@@ -25,11 +25,10 @@ import numpy as np
 from imchar import densities
 from imchar.charfn import default_dual_grid, psd_check, sample_cf
 from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
-from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain, canonical_point,
-                            negate_point)
+from imchar.domains import _KINDS, BorelSet, GroupDomain, canonical_point, negate_point
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
-from imchar.measures import (_ULP, SignedMeasure, _sign_pieces, add, build_measure,
+from imchar.measures import (SignedMeasure, _sign_pieces, add, build_measure,
                              mass, measure_of, point_mass, scale, segment_mass,
                              total_variation)
 
@@ -240,13 +239,7 @@ def companion(m: SignedMeasure, sigma="zero",
     grid = default_dual_grid(m.domain, grid_points)
     sm, sn = sample_cf(m, grid), sample_cf(nu, grid)
     gaps = np.abs(sm.values.imag - sn.values.imag)
-    # sample_cf's errors leave out atom sums: a phase is off by at most
-    # _ULP |x| (|t| + 2 pi), the 2 pi for a location mirrored on T, and each
-    # term added rounds by _ULP of itself and of a partial sum, within f(0) = 1
-    atoms = m.atoms + nu.atoms
-    spread = math.fsum(abs(a.w) * (abs(a.t) + TWO_PI) for a in atoms)
-    terms = len(atoms) + len(m.density) + len(nu.density)
-    bound = sm.errors + sn.errors + _ULP * (np.abs(np.asarray(grid, float)) * spread + 2 * terms)
+    bound = sm.errors + sn.errors
     over = np.flatnonzero(gaps > bound)
     if over.size:
         i = over[0]

@@ -38,6 +38,12 @@ from imchar.quadrature import QuadResult, integrate_fn, integrate_trig
 #: _SIGN_SAMPLES points and each windowed term's window at _WINDOW_SAMPLES
 _SIGN_SAMPLES = 4096
 _WINDOW_SAMPLES = 256
+#: a transform splits at a core's ends while |x t| <= _CORE_PHASE, and
+#: cuts an infinite piece at up to _TAIL_STEPS powers of _TAIL_STEP times
+#: its neighbour's length (see _transform_cuts)
+_CORE_PHASE = 2.0 ** 16
+_TAIL_STEP = 2.0 ** 10
+_TAIL_STEPS = 6
 #: brentq's xtol and rtol: a root lands within 5e-13 (1 + |t|) <= 1e-12 max(1, |t|)
 _ROOT_TOL = 5e-13
 
@@ -331,7 +337,8 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
 
     One (value, error, warned) triple per dual point x of xs. A family
     with a window is integrated over the window only, and the mass it
-    leaves out joins every error.
+    leaves out joins every error. A family with a core also splits its
+    transforms, not its masses, at the core's ends.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -348,20 +355,26 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     # a kink or a narrow peak's edge inside [lo, hi] becomes a piece
     # boundary: quadrature rules assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
+    core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
     # The cos and sin integrals, every piece and the fallback route ask
-    # for nearly the same nodes, so the pdf is read through one table
-    # and each node is evaluated once. QAWO reuses its nodes at every x
-    # of a finite interval, so there the table serves the whole grid;
-    # QAWF's nodes follow its cycle pi/|x|, so on a half-line the table
-    # starts afresh at each x and memory stays bounded by one point.
-    grid_wide = math.isfinite(lo) and math.isfinite(hi)
-    table: dict = {}
+    # for nearly the same nodes, so the pdf is read through a table and
+    # each node is evaluated once. QAWO reuses its nodes at every x of a
+    # finite piece, so one table serves every finite piece over the whole
+    # grid; QAWF's nodes follow its cycle pi/|x|, so an infinite piece
+    # reads a table that starts afresh at each x and memory stays bounded
+    # by one point.
+    grid_table: dict = {}
+    point_table: dict = {}
 
-    def tabled(t):
-        v = table.get(t)
-        if v is None:
-            v = table[t] = float(fam.pdf(params, t))
-        return v
+    def trig(a, b, x, kind):
+        table = grid_table if math.isfinite(a) and math.isfinite(b) else point_table
+
+        def tabled(t):
+            v = table.get(t)
+            if v is None:
+                v = table[t] = float(fam.pdf(params, t))
+            return v
+        return integrate_trig(tabled, a, b, x, kind)
 
     out = []
     for x in xs:
@@ -370,10 +383,10 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
             out.append((nt.weight * r.value, abs(nt.weight) * r.error + tail_err,
                         r.warned))
             continue
-        if not grid_wide:
-            table.clear()
-        re = _piecewise(lambda a, b: integrate_trig(tabled, a, b, x, "cos"), cuts)
-        im = _piecewise(lambda a, b: integrate_trig(tabled, a, b, x, "sin"), cuts)
+        point_table.clear()
+        xcuts = _transform_cuts(cuts, core, abs(x))
+        re = _piecewise(lambda a, b: trig(a, b, x, "cos"), xcuts)
+        im = _piecewise(lambda a, b: trig(a, b, x, "sin"), xcuts)
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
@@ -381,6 +394,43 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
                     abs(nt.weight) * (re.error + im.error) + tail_err,
                     re.warned or im.warned))
     return out
+
+
+def _transform_cuts(cuts: list, core: list, ax: float) -> list:
+    """Where a named term's transform at |x| = ax splits, given the cuts of
+    its mass (support or window ends and kinks) and its core's ends inside.
+
+    The core's ends are cuts while |x t| <= _CORE_PHASE at every finite
+    cut t: QAWO's error estimate leaves out the rounding of its phases,
+    and on Cauchy cores it missed by up to 1.3x where |x t| reached 1e6
+    (700x over pieces longer than 3e6 radians). Past that bound the
+    pieces run from the kinks to infinity on QAWF, as without a core.
+
+    An infinite piece whose neighbour has length s, the scale on which
+    its mass falls off, is cut again at s _TAIL_STEP^j beyond its finite
+    end, j = 1, 2, ... (at most _TAIL_STEPS), until s _TAIL_STEP^j reaches
+    1/ax: QAWF's first cycle, pi/ax, would dwarf s and miss the mass, as
+    plain quadrature below 2^-40 misses the mass out at 1/ax. The cuts
+    are the same at every x that takes them, so finite pieces can share
+    one pdf table.
+    """
+    if core:
+        joined = [cuts[0], *sorted({*cuts[1:-1], *core}), cuts[-1]]
+        if ax * max(abs(t) for t in joined if math.isfinite(t)) <= _CORE_PHASE:
+            cuts = joined
+    if len(cuts) < 3:
+        return cuts
+
+    def far(e, s, side):
+        out, d = [], s
+        while d * ax < 1.0 and len(out) < _TAIL_STEPS:
+            d *= _TAIL_STEP
+            out.append(e + side * d)
+        return out
+
+    left = far(cuts[1], cuts[2] - cuts[1], -1.0)[::-1] if math.isinf(cuts[0]) else []
+    right = far(cuts[-2], cuts[-2] - cuts[-3], 1.0) if math.isinf(cuts[-1]) else []
+    return [cuts[0], *left, *cuts[1:-1], *right, cuts[-1]]
 
 
 def _piecewise(integrate, cuts) -> QuadResult:
@@ -416,7 +466,9 @@ def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
         for nt in seg.named:
             for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, xs)):
                 vals[i] += v
-                errs[i] += e
+                # v's product with the weight rounds by _ULP |v|, and its
+                # addition by _ULP of the new sum
+                errs[i] += e + _ULP * (abs(v) + abs(vals[i]))
                 warned[i] = warned[i] or w
     out = list(zip(vals, errs, warned))
     return out if xs is x else out[0]
@@ -503,15 +555,22 @@ def _fuse_same_sign(pieces):
     return out
 
 
+def _memo(m: SignedMeasure, key: str, build):
+    """build(m), computed once per measure and kept on it under key, since
+    measures are immutable."""
+    value = m.__dict__.get(key)
+    if value is None:
+        value = build(m)
+        object.__setattr__(m, key, value)
+    return value
+
+
 def _sign_pieces(m: SignedMeasure) -> tuple:
     """(segment, lo, hi, sign) for every single-signed piece of m's density,
-    isolated once per measure and kept on it, since measures are immutable."""
-    pieces = m.__dict__.get("_sign_pieces_memo")
-    if pieces is None:
-        pieces = tuple((seg, lo, hi, sgn) for seg in m.density
-                       for lo, hi, sgn in sign_subsegments(m.domain, seg))
-        object.__setattr__(m, "_sign_pieces_memo", pieces)
-    return pieces
+    isolated once per measure and kept on it."""
+    return _memo(m, "_sign_pieces_memo", lambda m: tuple(
+        (seg, lo, hi, sgn) for seg in m.density
+        for lo, hi, sgn in sign_subsegments(m.domain, seg)))
 
 
 # ---------------------------------------------------------------------------

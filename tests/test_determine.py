@@ -241,3 +241,20 @@ def test_signs_are_isolated_once_per_measure(monkeypatch):
     cert = v_set_certificate(eta)
     assert len(scans) == 1
     assert cert.masses[1] == pytest.approx(cert.masses[2], abs=1e-12)
+
+
+def test_decide_scans_the_odd_part_once(monkeypatch):
+    # the split is kept on the measure, so the norm, the Jordan parts and
+    # the V-set certificate all read the signs of one odd part
+    scans, scan = [], measures._sampled_subsegments
+    monkeypatch.setattr(measures, "_sampled_subsegments",
+                        lambda domain, seg: scans.append(seg) or scan(domain, seg))
+    m = named_density_measure(REAL_LINE, "normal", {"mu": 1.0, "sigma": 1.0})
+    verdict = is_determined(m)
+    split = sym_anti_split(m)
+    assert sym_anti_split(m) is split
+    jp = hahn_jordan(split.antisymmetric_part)
+    cert = v_set_certificate(split.antisymmetric_part)
+    assert len(scans) == 1
+    assert cert.masses[1] == pytest.approx(verdict.norm_im / 2, abs=1e-12)
+    assert jp.positive_part.density

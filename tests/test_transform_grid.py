@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from imchar.charfn import (default_dual_grid, eval_cf, eval_cf_with_error, psd_c
                            sample_cf)
 from imchar.cli import main
 from imchar.domains import _KINDS, CIRCLE, REAL_LINE, cyclic
-from imchar.measures import _poly_integral, from_atoms, named_density_measure, reflect
+from imchar.measures import (_ULP, _poly_integral, _transform_cuts, from_atoms,
+                             named_density_measure, reflect)
 from imchar.quadrature import QuadResult, integrate_fn, integrate_trig
 
 # ---------------------------------------------------------------------------
@@ -47,10 +49,15 @@ def _oracle_named(domain, nt, c, d, x):
     if lo >= hi:
         return 0.0, tail_err, False
     pdf = lambda t: float(fam.pdf(params, t))
-    cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
+    kinks = [k for k in fam.kinks(params) if lo < k < hi]
     if x == 0.0:
-        r = _oracle_piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
+        # masses split at the kinks only
+        r = _oracle_piecewise(lambda a, b: integrate_fn(pdf, a, b), [lo, *kinks, hi])
         return nt.weight * r.value, abs(nt.weight) * r.error + tail_err, r.warned
+    # transforms also split at the ends of the family's core, where the
+    # production route does
+    core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
+    cuts = _transform_cuts([lo, *kinks, hi], core, abs(x))
     re = _oracle_piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "cos"), cuts)
     im = _oracle_piecewise(lambda a, b: integrate_trig(pdf, a, b, x, "sin"), cuts)
     val = complex(re.value, im.value)
@@ -66,8 +73,13 @@ def _oracle(m, x):
     total = 0j
     for a in m.atoms:
         total += a.w * row.phase(m.domain, a.t, xv)
-    err, warned = 0.0, False
-    for seg in m.density:
+    # the atom sum's rounding: phases off by _ULP |x| (|t| + 2 pi), products
+    # and additions by _ULP of the total |weight|
+    spread = math.fsum(abs(a.w) * (abs(a.t) + 2.0 * math.pi) for a in m.atoms)
+    weight = math.fsum(abs(a.w) for a in m.atoms)
+    err = _ULP * (abs(float(xv)) * spread + 2 * len(m.atoms) * weight)
+    warned = False
+    for k, seg in enumerate(m.density):
         val, serr, swarned = 0.0, 0.0, False
         if seg.coeffs:
             pv, serr = _poly_integral(seg.coeffs, seg.lower, seg.upper, float(xv))
@@ -75,10 +87,11 @@ def _oracle(m, x):
         for nt in seg.named:
             v, e, w = _oracle_named(m.domain, nt, seg.lower, seg.upper, float(xv))
             val += v
-            serr += e
+            serr += e + _ULP * (abs(v) + abs(val))
             swarned = swarned or w
         total += val
-        err += serr
+        # a segment added to a nonzero partial sum rounds by _ULP of the sum
+        err += serr + (_ULP * abs(total) if k or m.atoms else 0.0)
         warned = warned or swarned
     return total, err, warned
 
@@ -196,6 +209,23 @@ def test_cf_grid_err_column_is_per_row(capsys):
     errs = [row["err"] for row in rows]
     assert errs == [eval_cf_with_error(m, row["x"])[1] for row in rows]
     assert len(set(errs)) > 1
+
+
+def test_atom_sums_carry_their_rounding():
+    # a pair at t and its mirror 2 pi - t has a real transform, yet its
+    # imaginary part reads -5.0e-15 at x = -30; the error used to read 0
+    t = 1.68756773639855
+    pair = sample_cf(from_atoms(CIRCLE, [(t, 0.5), (-t, 0.5)]), [-30, 0, 7])
+    assert abs(pair.values[0].imag) > 1e-15
+    assert all(abs(v.imag) <= e for v, e in zip(pair.values, pair.errors))
+    rng = np.random.default_rng(5)
+    atoms = list(zip(rng.uniform(-50.0, 50.0, 40), rng.uniform(-1.0, 1.0, 40)))
+    grid = list(rng.uniform(-100.0, 100.0, 20))
+    sample = sample_cf(from_atoms(REAL_LINE, atoms), grid)
+    with mpmath.workdps(40):
+        for x, v, e in zip(grid, sample.values, sample.errors):
+            exact = mpmath.fsum(w * mpmath.expj(mpmath.mpf(x) * t) for t, w in atoms)
+            assert 0.0 < abs(mpmath.mpc(v.real, v.imag) - exact) <= e, x
 
 
 # ---------------------------------------------------------------------------
