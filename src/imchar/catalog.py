@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from imchar.determine import (DeterminationVerdict, is_determined,
                               support_criterion_verdict, NORM_TOLERANCE)
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, TWO_PI, BorelSet,
@@ -28,6 +30,10 @@ NOT_DETERMINED = "not_determined"
 
 #: tail mass below which discrete supports are truncated
 _TAIL = 1e-13
+#: a truncated support holds at most _MAX_SUPPORT + 1 points, read in
+#: blocks of _FIRST_BLOCK, then twice as many, and so on
+_MAX_SUPPORT = 100000
+_FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -217,23 +223,26 @@ def _triangular_build(p):
 
 
 def _pmf_measure_bounded(dist, lo: int, hi: int) -> SignedMeasure:
-    atoms = [(k, float(dist.pmf(k))) for k in range(lo, hi + 1)]
-    return build_measure(INTEGERS, [(k, w) for k, w in atoms if w > 0.0])
+    ks = np.arange(lo, hi + 1)
+    return build_measure(INTEGERS, [(k, w) for k, w in zip(ks.tolist(), dist.pmf(ks).tolist())
+                                    if w > 0.0])
 
 
 def _pmf_measure_tail(dist, lo: int, shift: int = 0) -> SignedMeasure:
+    """Atoms of dist from lo up to the first k > lo whose tail mass sf(k)
+    falls below _TAIL, read in blocks of doubling length."""
     atoms = []
-    k = lo
-    while True:
-        w = float(dist.pmf(k))
-        if w > 0.0:
-            atoms.append((k + shift, w))
-        if float(dist.sf(k)) < _TAIL and k > lo:
-            break
-        k += 1
-        if k - lo > 100000:
-            raise ParameterError("discrete support truncation did not converge")
-    return build_measure(INTEGERS, atoms)
+    start, size = lo, _FIRST_BLOCK
+    while start <= lo + _MAX_SUPPORT:
+        ks = np.arange(start, min(start + size, lo + _MAX_SUPPORT + 1))
+        done = np.flatnonzero((dist.sf(ks) < _TAIL) & (ks > lo))
+        end = done[0] + 1 if done.size else len(ks)
+        atoms += [(k + shift, w) for k, w in zip(ks[:end].tolist(), dist.pmf(ks[:end]).tolist())
+                  if w > 0.0]
+        if done.size:
+            return build_measure(INTEGERS, atoms)
+        start, size = start + size, 2 * size
+    raise ParameterError("discrete support truncation did not converge")
 
 
 # The four lattice builders import scipy.stats themselves: the import

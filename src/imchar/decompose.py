@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
 from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, _memo,
-                             _sign_pieces, add, build_measure, mass, measure_of,
-                             reflect, scale, subtract, total_variation)
+                             _reflection_sums, _sign_pieces, build_measure, mass,
+                             measure_of, scale, total_variation)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,16 @@ class VSetCertificate:
 def sym_anti_split(m: SignedMeasure) -> SymAntiSplit:
     """Split m into its symmetric and antisymmetric parts (m = s + a).
 
-    The split is built once per measure and kept on it, since measures
-    are immutable, so every caller reads the same antisymmetric part and
-    the signs isolated on it once.
+    The parts are (m + m~) / 2 and (m - m~) / 2 for the reflection m~:
+    each atom is paired with its inverse once, and each weight is one
+    rounded sum or difference, then halved. The split is built once
+    per measure and kept on it, since measures are immutable, so every
+    caller reads the same antisymmetric part and the signs isolated on
+    it once.
     """
     def build(m):
-        r = reflect(m)
-        return SymAntiSplit(scale(add(m, r), 0.5), scale(subtract(m, r), 0.5))
+        even, odd = _reflection_sums(m)
+        return SymAntiSplit(scale(even, 0.5), scale(odd, 0.5))
     return _memo(m, "_split_memo", build)
 
 
@@ -119,7 +122,7 @@ def _negate_segment(seg: DensitySegment) -> DensitySegment:
 
 def antisymmetry_defect(m: SignedMeasure) -> float:
     """||m + reflect(m)||; zero exactly when m is antisymmetric."""
-    return total_variation(add(m, reflect(m)))
+    return total_variation(_reflection_sums(m)[0])
 
 
 def require_antisymmetric(m: SignedMeasure, tol: float = 1e-9):

@@ -46,6 +46,9 @@ class DensityFamily:
     #: (lo, hi): a finite interval holding the bulk of a heavy-tailed
     #: family's mass; transforms (not masses) also split at its ends
     core: Callable[[dict], tuple[float, float]] | None = None
+    #: (params, lo, hi) -> a bound on the rounding of the pdf at points of
+    #: [lo, hi], relative to its value; None where it is left out
+    rounding: Callable[[dict, float, float], float] | None = None
 
     def support(self, params: dict) -> tuple[float, float]:
         return self.support_fn(params)
@@ -206,6 +209,33 @@ def _gamma_window(k: float, scale: float, power: float = 1.0):
     return lo, hi, float(special.gammainc(k, g(lo)) + special.gammaincc(k, g(hi)))
 
 
+# -- rounding -----------------------------------------------------------------
+
+#: bound on one rounding, relative to the magnitude rounded (twice the
+#: unit roundoff, so a log or an exp within one ulp stays covered)
+_ULP = 2.0 ** -52
+#: |log t| for every positive float t (t = 0 is an endpoint, never a node)
+_LOG_TINY = -math.log(math.ulp(0.0))
+
+
+def _gamma_rounding(k: float, scale: float, lo: float, hi: float) -> float:
+    """Relative rounding of exp((k - 1) log t - t / scale - gammaln(k) - k log scale)
+    at points t of [lo, hi] (the gamma and chi2 kernels).
+
+    Each of the exponent's four terms rounds up to three times (k - 1 or
+    gammaln, log, product) and each of its three sums once more, so the
+    exponent is off by at most 6 _ULP S, where S bounds the terms'
+    magnitudes on [lo, hi]; exp turns that into a relative error and adds
+    its own rounding. At large shapes S runs into the thousands, and a
+    mass computed from these values is off by far more than quadrature's
+    estimate.
+    """
+    log_t = max(abs(math.log(lo)) if lo > 0.0 else _LOG_TINY, abs(math.log(hi)))
+    size = (abs(k - 1.0) * log_t + hi / scale + abs(float(special.gammaln(k)))
+            + abs(k * math.log(scale)))
+    return _ULP * (6.0 * size + 1.0)
+
+
 # -- cores --------------------------------------------------------------------
 # Cauchy leaves 2^-10 of its mass beyond each end of mu -+ gamma cot(pi 2^-10),
 # about 326 gamma. Levy's core, (0, 32 c), holds 0.86 of its mass: its power
@@ -322,10 +352,12 @@ register(DensityFamily("cauchy", _LINE, _cauchy_pdf, _v_loc_scale("gamma"),
                        kinks=lambda p: (p["mu"],), core=_cauchy_core))
 register(DensityFamily("gamma", _HALF, _open_support(_gamma_pdf, _HALF),
                        lambda p: _positive(p, "k", "theta"),
-                       window=lambda p: _gamma_window(p["k"], p["theta"])))
+                       window=lambda p: _gamma_window(p["k"], p["theta"]),
+                       rounding=lambda p, lo, hi: _gamma_rounding(p["k"], p["theta"], lo, hi)))
 register(DensityFamily("chi2", _HALF, _open_support(_chi2_pdf, _HALF),
                        lambda p: _positive(p, "n"),
-                       window=lambda p: _gamma_window(0.5 * p["n"], 2.0)))
+                       window=lambda p: _gamma_window(0.5 * p["n"], 2.0),
+                       rounding=lambda p, lo, hi: _gamma_rounding(0.5 * p["n"], 2.0, lo, hi)))
 register(DensityFamily("levy", _HALF, _open_support(_levy_pdf, _HALF),
                        lambda p: _positive(p, "c"), kinks=lambda p: (p["c"] / 3.0,),
                        core=lambda p: (0.0, 32.0 * p["c"])))

@@ -4,14 +4,18 @@ Everything on Z_n is a length-n weight vector, the transform is a
 plain character sum, and the determination question has a closed form:
 with a_k = (v_k - v_{n-k mod n}) / 2 the imaginary part pins the vector
 down exactly when sum |a_k| = 1. The whole construction is cheap
-enough to serve as an independent oracle for the measure pipeline, and
-the arithmetic here matches the measure path bit for bit (halving is
-exact, reductions use exactly rounded summation), so agreement runs
-can use equality rather than tolerances on the norm.
+enough to serve as an independent oracle for the measure pipeline.
+The measure path forms its odd part by the same formula, pairing each
+atom with its inverse and halving one rounded difference, and both
+reduce with exactly rounded summation, so agreement runs can use
+equality rather than tolerances on the norm. The character table of
+each order is computed once and kept (the last _CHARACTER_ORDERS
+orders).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,9 @@ from imchar.measures import SignedMeasure, build_measure
 _GRID_STEPS = 64
 #: witnesses must move some coordinate by more than this to count
 _WITNESS_GAP = 1e-9
+#: character tables kept, one per order (an agreement run over
+#: n = 2..64 keeps all of its own)
+_CHARACTER_ORDERS = 64
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,18 @@ class FiniteMeasureVector:
         return FiniteMeasureVector(tuple(float(x) for x in arr))
 
 
+@functools.lru_cache(maxsize=_CHARACTER_ORDERS)
+def _characters(n: int) -> np.ndarray:
+    """The character table exp(2*pi*i*j*k/n) of Z_n, computed once per order."""
+    jk = np.outer(np.arange(n), np.arange(n))
+    table = np.exp(2j * math.pi * jk / n)
+    table.flags.writeable = False
+    return table
+
+
 def dft(v: FiniteMeasureVector) -> np.ndarray:
     """Transform values f(j) = sum_k v_k exp(2*pi*i*j*k/n), all residues j."""
-    n = v.order
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * math.pi * jk / n) @ v.as_array()
+    return _characters(v.order) @ v.as_array()
 
 
 def idft(f: np.ndarray) -> FiniteMeasureVector:
@@ -128,10 +142,11 @@ def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12,
     witnesses: list[FiniteMeasureVector] = []
     if not unique:
         base = np.abs(a)
+        im_v = dft(v).imag
         for cand in _witness_candidates(base, a, slack, n):
             if float(np.max(np.abs(cand - arr))) > _WITNESS_GAP:
                 w = FiniteMeasureVector.from_array(cand)
-                _verify_witness(v, w)
+                _verify_witness(im_v, w)
                 if all(w != seen for seen in witnesses):
                     witnesses.append(w)
 
@@ -161,12 +176,13 @@ def _witness_candidates(base, a, slack, n):
     yield base + slack / n + a
 
 
-def _verify_witness(v: FiniteMeasureVector, w: FiniteMeasureVector):
+def _verify_witness(im_v: np.ndarray, w: FiniteMeasureVector):
+    """Check that w is a probability vector whose transform has imaginary part im_v."""
     if abs(math.fsum(w.weights) - 1.0) > 1e-9:
         raise InternalCheckError("witness mass drifted away from 1")
     if min(w.weights) < -1e-12:
         raise InternalCheckError("witness has a negative weight")
-    gap = float(np.max(np.abs(dft(v).imag - dft(w).imag)))
+    gap = float(np.max(np.abs(im_v - dft(w).imag)))
     if gap > 1e-12:
         raise InternalCheckError(f"witness imaginary part differs by {gap:.3e}")
 

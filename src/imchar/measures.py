@@ -11,8 +11,11 @@ Construction normalizes: atoms are merged per location and sorted,
 overlapping segments are split on the common endpoint grid and their
 terms combined, so equality of representations is meaningful. All atom
 weight reductions use exactly rounded summation (math.fsum), which
-keeps discrete total variations order-independent and lets the cyclic
-oracle agree with the measure path bit for bit.
+keeps discrete total variations order-independent. The even and odd
+parts (m +- m~) / 2 pair each atom with its inverse once and halve the
+one rounded sum or difference, which is the cyclic oracle's own formula
+a_k = (v_k - v_{-k}) / 2: the oracle and the measure path share the
+formula, so they agree bit for bit.
 
 One function, segment_mass, integrates a segment against e^{ixt}: at
 x = 0 it gives masses and total variations, elsewhere transforms.
@@ -138,12 +141,17 @@ def build_measure(domain: GroupDomain, atoms=(), segments=(), factors=()) -> Sig
     merged: dict = {}
     for t, w in raw:
         merged[t] = merged.get(t, 0.0) + w
-    out_atoms = tuple(Atom(t, w) for t, w in sorted(merged.items()) if w != 0.0)
-    for a in out_atoms:
-        if not math.isfinite(a.w):
-            raise ParameterError(f"atom weight at {a.t} is not finite")
+    out_atoms = _finite_atoms(Atom(t, w) for t, w in sorted(merged.items()) if w != 0.0)
     out_segs = _normalize_segments(domain, segments)
     return SignedMeasure(domain, out_atoms, out_segs)
+
+
+def _finite_atoms(atoms) -> tuple[Atom, ...]:
+    atoms = tuple(atoms)
+    for a in atoms:
+        if not math.isfinite(a.w):
+            raise ParameterError(f"atom weight at {a.t} is not finite")
+    return atoms
 
 
 def _normalize_segments(domain: GroupDomain, segments) -> tuple[DensitySegment, ...]:
@@ -337,8 +345,10 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
 
     One (value, error, warned) triple per dual point x of xs. A family
     with a window is integrated over the window only, and the mass it
-    leaves out joins every error. A family with a core also splits its
-    transforms, not its masses, at the core's ends.
+    leaves out joins every error. So does the pdf's own rounding where
+    the family bounds it: relative to values whose integral over [c, d]
+    is at most 1. A family with a core also splits its transforms, not
+    its masses, at the core's ends.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -348,9 +358,11 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
         c, d = _KINDS[domain.kind].mirror(c, d)
     slo, shi, tail = fam.window(params) if fam.window else (*fam.support(params), 0.0)
     lo, hi = max(c, slo), min(d, shi)
-    tail_err = abs(nt.weight) * tail
+    fixed_err = abs(nt.weight) * tail
     if lo >= hi:
-        return [(0.0, tail_err, False)] * len(xs)
+        return [(0.0, fixed_err, False)] * len(xs)
+    if fam.rounding:
+        fixed_err += abs(nt.weight) * fam.rounding(params, lo, hi)
     pdf = lambda t: float(fam.pdf(params, t))
     # a kink or a narrow peak's edge inside [lo, hi] becomes a piece
     # boundary: quadrature rules assume a smooth integrand inside each piece
@@ -380,7 +392,7 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     for x in xs:
         if x == 0.0:
             r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
-            out.append((nt.weight * r.value, abs(nt.weight) * r.error + tail_err,
+            out.append((nt.weight * r.value, abs(nt.weight) * r.error + fixed_err,
                         r.warned))
             continue
         point_table.clear()
@@ -391,7 +403,7 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
         if nt.reflected:
             val = val.conjugate()
         out.append((nt.weight * val,
-                    abs(nt.weight) * (re.error + im.error) + tail_err,
+                    abs(nt.weight) * (re.error + im.error) + fixed_err,
                     re.warned or im.warned))
     return out
 
@@ -602,14 +614,11 @@ def scale(m: SignedMeasure, c: float) -> SignedMeasure:
         if c == 1.0:
             return m
         raise UnsupportedDomainError("product measures cannot be rescaled")
-    atoms = [(a.t, c * a.w) for a in m.atoms]
-    segs = []
-    for s in m.density:
-        coeffs = tuple(c * x for x in s.coeffs) if s.coeffs else None
-        named = tuple(NamedTerm(nt.name, nt.params, c * nt.weight, nt.reflected)
-                      for nt in s.named)
-        segs.append(DensitySegment(s.lower, s.upper, coeffs, named))
-    return build_measure(m.domain, atoms, segs)
+    # m is normalized, so scaling cannot merge atoms or pieces: each is
+    # scaled where it is, and those that reach zero are dropped
+    atoms = _finite_atoms(Atom(a.t, c * a.w) for a in m.atoms if c * a.w != 0.0)
+    pieces = (_combine_piece(s.lower, s.upper, [_scaled_segment(s, c)]) for s in m.density)
+    return SignedMeasure(m.domain, atoms, tuple(p for p in pieces if p is not None))
 
 
 def add(a: SignedMeasure, b: SignedMeasure) -> SignedMeasure:
@@ -630,6 +639,10 @@ def reflect(m: SignedMeasure) -> SignedMeasure:
     if m.factors:
         return SignedMeasure(m.domain, factors=tuple(reflect(f) for f in m.factors))
     atoms = [(negate_point(m.domain, a.t), a.w) for a in m.atoms]
+    return build_measure(m.domain, atoms, _reflected_segments(m))
+
+
+def _reflected_segments(m: SignedMeasure) -> list[DensitySegment]:
     segs = []
     for s in m.density:
         lo, hi = _KINDS[m.domain.kind].mirror(s.lower, s.upper)
@@ -639,7 +652,46 @@ def reflect(m: SignedMeasure) -> SignedMeasure:
         named = tuple(NamedTerm(nt.name, nt.params, nt.weight, not nt.reflected)
                       for nt in s.named)
         segs.append(DensitySegment(lo, hi, coeffs, named))
-    return build_measure(m.domain, atoms, segs)
+    return segs
+
+
+def _scaled_segment(s: DensitySegment, c: float) -> DensitySegment:
+    coeffs = tuple(c * x for x in s.coeffs) if s.coeffs else None
+    named = tuple(NamedTerm(nt.name, nt.params, c * nt.weight, nt.reflected)
+                  for nt in s.named)
+    return DensitySegment(s.lower, s.upper, coeffs, named)
+
+
+def _reflection_sums(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
+    """(m + m~, m - m~) for the reflection m~ of m, built in one pass and
+    kept on m.
+
+    Each atom is paired with its inverse once: the weights are the one
+    rounded sum w_t + w_{-t} and difference w_t - w_{-t} that
+    add(m, reflect(m)) and subtract(m, reflect(m)) form, and the density
+    is normalized once for each, so both come out bit for bit as those
+    compositions do, without building m~ or -m~ (or rebuilding m).
+    """
+    def build(m):
+        if m.factors:
+            raise UnsupportedDomainError("sums of product measures are not representable")
+        domain = m.domain
+        own = {a.t: a.w for a in m.atoms}
+        # inverses can collide where negation rounds (on T), as in reflect
+        mirrored: dict = {}
+        for a in m.atoms:
+            u = negate_point(domain, a.t)
+            mirrored[u] = mirrored.get(u, 0.0) + a.w
+        spots = sorted(own.keys() | mirrored.keys())
+        refl = _reflected_segments(m)
+        sums = []
+        for sign, segs in ((1.0, refl), (-1.0, [_scaled_segment(s, -1.0) for s in refl])):
+            weights = ((t, own.get(t, 0.0) + sign * mirrored.get(t, 0.0)) for t in spots)
+            atoms = _finite_atoms(Atom(t, w) for t, w in weights if w != 0.0)
+            sums.append(SignedMeasure(domain, atoms,
+                                      _normalize_segments(domain, [*m.density, *segs])))
+        return tuple(sums)
+    return _memo(m, "_reflection_sums_memo", build)
 
 
 def measure_of(m: SignedMeasure, s: BorelSet) -> float:

@@ -6,7 +6,9 @@ fixed seed reproduces the exact same measures on every run.
 
 import numpy as np
 
+from imchar.catalog import make_measure, spec
 from imchar.domains import REAL_LINE, BorelSet, cyclic
+from imchar.errors import ParameterError
 from imchar.measures import from_atoms
 
 
@@ -70,3 +72,37 @@ def random_borel_r(rng, anchors=()):
 def random_subset_zn(rng, n):
     mask = rng.random(n) < 0.5
     return BorelSet.from_indices(cyclic(n), [k for k in range(n) if mask[k]])
+
+
+def catalog_draws(rng, name, count):
+    """count seeded specs of one catalog entry around its defaults.
+
+    Each float parameter is scaled by up to e^0.7 either way or shifted
+    by up to 2, each integer one moved by -1..2, and mixture weights
+    p1, p2, ... are made to sum to 1; draws the entry refuses are drawn
+    again, 20 tries per spec at most.
+    """
+    defaults = dict(spec(name).params)
+    out = []
+    for _ in range(20 * count):
+        params = {}
+        for k, v in defaults.items():
+            if isinstance(v, int):
+                params[k] = v + int(rng.integers(-1, 3))
+            elif rng.random() < 0.5:
+                params[k] = v * float(np.exp(rng.uniform(-0.7, 0.7)))
+            else:
+                params[k] = v + float(rng.uniform(-2.0, 2.0))
+        mix = [k for k in params if k[0] == "p" and k[1:].isdigit()]
+        if mix:
+            total = sum(abs(params[k]) for k in mix)
+            params.update({k: abs(params[k]) / total for k in mix})
+        try:
+            sp = spec(name, **params)
+            make_measure(sp)
+        except ParameterError:
+            continue
+        out.append(sp)
+        if len(out) == count:
+            break
+    return out

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from imchar.catalog import (DETERMINED, NOT_DETERMINED, catalog_list_obj,
-                            classify, classify_all, criterion_set, domain_of,
-                            expected_classification, make_measure, spec)
+import helpers
+from imchar.catalog import (_TAIL, DETERMINED, NOT_DETERMINED, _pmf_measure_tail,
+                            catalog_list_obj, classify, classify_all,
+                            criterion_set, domain_of, expected_classification,
+                            make_measure, spec)
 from imchar.determine import support_criterion_check
 from imchar.errors import ParameterError
 from imchar.measures import mass, total_variation
@@ -125,3 +128,79 @@ def test_domain_of():
     assert domain_of(spec("wrapped_cauchy")).kind == "T"
     assert domain_of(spec("multivariate_pareto")).kind == "Rbox"
     assert domain_of(spec("normal")).kind == "R"
+
+
+# ---------------------------------------------------------------------------
+# lattice builders: array reads against the scalar loop they replace
+
+
+def _scalar_tail(dist, lo, shift=0):
+    """(atoms, truncation index) as the scalar loop built them."""
+    atoms = []
+    k = lo
+    while True:
+        w = float(dist.pmf(k))
+        if w > 0.0:
+            atoms.append((k + shift, w))
+        if float(dist.sf(k)) < _TAIL and k > lo:
+            return atoms, k
+        k += 1
+        if k - lo > 100000:
+            raise ParameterError("discrete support truncation did not converge")
+
+
+def _scalar_atoms(name, p):
+    from scipy import stats
+    if name in ("poisson", "poisson_shifted"):
+        return _scalar_tail(stats.poisson(p["lam"]), 0, p.get("shift", 0))
+    if name == "negative_binomial":
+        return _scalar_tail(stats.nbinom(p["r"], p["p"]), 0)
+    if name == "binomial":
+        dist, ks = stats.binom(p["n"], p["p"]), range(0, p["n"] + 1)
+    else:
+        dist = stats.hypergeom(p["N"], p["K"], p["n"])
+        ks = range(max(0, p["n"] + p["K"] - p["N"]), min(p["n"], p["K"]) + 1)
+    return [(k, float(dist.pmf(k))) for k in ks if float(dist.pmf(k)) > 0.0], None
+
+
+_LATTICE = ("poisson", "poisson_shifted", "binomial", "negative_binomial", "hypergeometric")
+
+
+def test_lattice_atoms_match_the_scalar_loop():
+    rng = np.random.default_rng(21)
+    for name in _LATTICE:
+        specs = [spec(name), *helpers.catalog_draws(rng, name, 6)]
+        if name == "poisson":
+            specs.append(spec("poisson", lam=500.0))
+        for sp in specs:
+            atoms, stop = _scalar_atoms(name, sp.params_dict)
+            got = [(a.t, a.w.hex()) for a in make_measure(sp).atoms]
+            assert got == [(k, w.hex()) for k, w in atoms], sp
+            if stop is not None:
+                # the last atom sits where the scalar loop stopped
+                assert got[-1][0] == stop + sp.params_dict.get("shift", 0)
+
+
+class _FlatTail:
+    """A pmf whose tail mass drops below _TAIL only at k = stop."""
+
+    def __init__(self, stop):
+        self.stop = stop
+
+    def pmf(self, k):
+        return np.full(np.shape(k), 1e-6)
+
+    def sf(self, k):
+        return np.where(np.asarray(k) >= self.stop, 0.0, 0.5)
+
+
+def test_lattice_truncation_guard():
+    # the support may run to lo + 100000 and no further, in both builders
+    m = _pmf_measure_tail(_FlatTail(7 + 100000), 7)
+    assert (m.atoms[0].t, m.atoms[-1].t, len(m.atoms)) == (7, 100007, 100001)
+    assert _scalar_tail(_FlatTail(7 + 100000), 7)[1] == 100007
+    for build in (_pmf_measure_tail, _scalar_tail):
+        with pytest.raises(ParameterError, match="did not converge"):
+            build(_FlatTail(7 + 100001), 7)
+    with pytest.raises(ParameterError, match="did not converge"):
+        make_measure(spec("poisson", lam=2e5))

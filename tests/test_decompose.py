@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 import helpers
+from imchar.catalog import catalog_names, make_measure, spec
 from imchar.decompose import (antisymmetry_defect, hahn_jordan,
                               require_antisymmetric, sym_anti_split,
                               v_set_certificate)
-from imchar.domains import INTEGERS, REAL_LINE, BorelSet, cyclic
-from imchar.errors import PreconditionError
-from imchar.measures import (add, from_atoms, measure_of,
+from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, BorelSet, cyclic
+from imchar.errors import ParameterError, PreconditionError, UnsupportedDomainError
+from imchar.finite import random_measures, to_measure
+from imchar.measures import (DensitySegment, NamedTerm, _named, add,
+                             build_measure, from_atoms, measure_of,
                              named_density_measure, point_mass,
-                             poly_density_measure, reflect, scale, subtract,
-                             total_variation, zero_measure)
+                             poly_density_measure, product_measure, reflect,
+                             scale, subtract, total_variation, zero_measure)
 
 
 def test_split_three_quarters_delta():
@@ -188,3 +191,143 @@ def test_split_then_norm_on_z():
     jp = hahn_jordan(eta)
     assert jp.hahn_positive.indices >= {1, 2}
     assert jp.hahn_negative.indices == frozenset({-1, -2})
+
+
+# ---------------------------------------------------------------------------
+# the one-pass split against the composition it replaces
+
+
+def _rebuilt_scale(m, c):
+    """scale as a rebuild: every weight multiplied, then the measure built again."""
+    segs = [DensitySegment(s.lower, s.upper, s.coeffs and tuple(c * x for x in s.coeffs),
+                           tuple(NamedTerm(nt.name, nt.params, c * nt.weight, nt.reflected)
+                                 for nt in s.named)) for s in m.density]
+    return build_measure(m.domain, [(a.t, c * a.w) for a in m.atoms], segs)
+
+
+def _composed_split(m):
+    """The split as reflect, add and rebuilt scales compose it."""
+    r = reflect(m)
+    return (_rebuilt_scale(add(m, r), 0.5),
+            _rebuilt_scale(add(m, _rebuilt_scale(r, -1.0)), 0.5))
+
+
+def _bits(m):
+    """m's representation with every float in hex, so signed zeros count."""
+    def h(x):
+        return x.hex() if isinstance(x, float) else x
+    return ([(h(a.t), h(a.w)) for a in m.atoms],
+            [(h(s.lower), h(s.upper), s.coeffs and [h(c) for c in s.coeffs],
+              [(nt.name, nt.params, h(nt.weight), nt.reflected) for nt in s.named])
+             for s in m.density])
+
+
+def _assert_split_bitwise(m):
+    sym, anti = _composed_split(m)
+    split = sym_anti_split(m)
+    assert _bits(split.symmetric_part) == _bits(sym)
+    assert _bits(split.antisymmetric_part) == _bits(anti)
+    assert split.symmetric_part == sym and split.antisymmetric_part == anti
+    defect = antisymmetry_defect(m)
+    assert defect.hex() == total_variation(add(m, reflect(m))).hex()
+    for c in (2.0, -1.0, 0.0, 1e-300, 0.3):
+        assert _bits(scale(m, c)) == _bits(_rebuilt_scale(m, c))
+
+
+def _random_mixed(rng, domain):
+    atoms = [(float(t), float(w)) for t, w in
+             zip(rng.uniform(-5.0, 5.0, 4), rng.uniform(-1.0, 1.0, 4))]
+    atoms += [(-atoms[0][0], float(rng.uniform(-1.0, 1.0))), (0.0, 0.25)]
+    if domain == CIRCLE:
+        atoms += [(math.pi, -0.5), (float(rng.uniform(0.0, 1e-15)), 0.125)]
+        a, b = sorted(rng.uniform(0.0, 2.0 * math.pi, 2))
+        segs = [DensitySegment(float(a), float(b), tuple(rng.normal(size=3))),
+                DensitySegment(0.0, 2.0 * math.pi, None, (
+                    _named("wrapped_normal", {"mu": float(rng.uniform(0.0, 6.0)),
+                                              "sigma": 0.7}, 0.5),))]
+    else:
+        a, b = sorted(rng.uniform(-4.0, 4.0, 2))
+        segs = [DensitySegment(float(a), float(b), tuple(rng.normal(size=3))),
+                DensitySegment(-math.inf, math.inf, None, (
+                    _named("normal", {"mu": float(rng.uniform(-3.0, 3.0)), "sigma": 1.0},
+                           float(rng.uniform(-1.0, 1.0))),
+                    _named("cauchy", {"mu": 1.0, "gamma": 0.5}, 0.3))),
+                DensitySegment(0.0, math.inf, None, (_named("exponential", {"lam": 2.0}),))]
+    return build_measure(domain, atoms, segs)
+
+
+def test_split_matches_composition_on_zn_vectors():
+    rng = np.random.default_rng(11)
+    for n in range(2, 65):
+        for kind in ("probability", "signed"):
+            v, = random_measures(n, 1, kind, seed=int(rng.integers(2 ** 31)))
+            _assert_split_bitwise(to_measure(v))
+
+
+def test_split_matches_composition_on_catalog_entries():
+    rng = np.random.default_rng(12)
+    for name in catalog_names():
+        for sp in [spec(name), *helpers.catalog_draws(rng, name, 3)]:
+            m = make_measure(sp)
+            if m.domain.kind == "Rbox":
+                with pytest.raises(UnsupportedDomainError):
+                    sym_anti_split(m)
+                with pytest.raises(UnsupportedDomainError):
+                    antisymmetry_defect(m)
+            else:
+                _assert_split_bitwise(m)
+                _assert_split_bitwise(sym_anti_split(m).antisymmetric_part)
+
+
+def test_split_matches_composition_on_mixed_measures():
+    rng = np.random.default_rng(13)
+    for domain in (REAL_LINE, CIRCLE):
+        for _ in range(10):
+            _assert_split_bitwise(_random_mixed(rng, domain))
+
+
+def test_split_at_self_inverse_points():
+    for n in (2, 6, 64):
+        _assert_split_bitwise(from_atoms(cyclic(n), [(0, 0.25), (n // 2, 0.5), (1, 0.25)]))
+    # on T, 0 and pi are their own inverses; negating 0.1 twice does not
+    # give 0.1 back, and the inverses of points below 1e-16 all round to 0
+    _assert_split_bitwise(from_atoms(CIRCLE, [(0.0, 0.25), (math.pi, 0.5), (0.1, 0.25)]))
+    _assert_split_bitwise(from_atoms(CIRCLE, [(1e-17, 0.5), (2e-17, 0.25), (3.0, 0.25)]))
+    _assert_split_bitwise(from_atoms(INTEGERS, [(0, 0.5), (3, 0.25), (-3, 0.25)]))
+    split = sym_anti_split(from_atoms(cyclic(6), [(0, 0.5), (3, 0.5)]))
+    assert split.antisymmetric_part.atoms == ()
+
+
+def test_split_where_halving_underflows():
+    tiny = 5e-324
+    for m in (from_atoms(REAL_LINE, [(1.0, tiny), (-1.0, tiny), (2.0, 3 * tiny), (3.0, 0.5)]),
+              from_atoms(cyclic(8), [(1, tiny), (7, 2 * tiny), (3, 1.0)]),
+              build_measure(REAL_LINE, [(0.5, tiny)], [
+                  DensitySegment(0.0, 1.0, (tiny, 1.0)),
+                  DensitySegment(-2.0, 2.0, None, (_named("normal", {"mu": 0.0, "sigma": 1.0},
+                                                          tiny),))])):
+        _assert_split_bitwise(m)
+    # an odd weight that halves to 0 leaves no atom behind
+    split = sym_anti_split(from_atoms(REAL_LINE, [(1.0, tiny)]))
+    assert split.antisymmetric_part.atoms == () and split.symmetric_part.atoms == ()
+
+
+def test_split_overflow_is_refused_like_the_composition():
+    m = from_atoms(REAL_LINE, [(1.0, 1.5e308), (-1.0, 1.5e308)])
+    with pytest.raises(ParameterError):
+        _composed_split(m)
+    with pytest.raises(ParameterError):
+        sym_anti_split(m)
+    for bad in (_rebuilt_scale, scale):
+        with pytest.raises(ParameterError):
+            bad(m, 2.0)
+        with pytest.raises(ParameterError):
+            bad(m, math.nan)
+
+
+def test_split_refuses_rbox_products():
+    m = product_measure([point_mass(REAL_LINE, 1.0), point_mass(REAL_LINE, 2.0)])
+    with pytest.raises(UnsupportedDomainError):
+        sym_anti_split(m)
+    with pytest.raises(UnsupportedDomainError):
+        antisymmetry_defect(m)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from imchar import decompose, determine, measures
+from imchar import decompose, determine, finite, measures
 from imchar.charfn import eval_cf, im_cf
 from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
 from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
@@ -15,6 +15,7 @@ from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
                               support_criterion_verdict)
 from imchar.domains import INTEGERS, REAL_LINE, BorelSet, real_box
 from imchar.errors import InternalCheckError, ParameterError, PreconditionError
+from imchar.finite import brute_uniqueness, random_measures, to_measure
 from imchar.measures import (from_atoms, named_density_measure, point_mass,
                              poly_density_measure, product_measure, scale,
                              subtract, total_variation)
@@ -258,3 +259,17 @@ def test_decide_scans_the_odd_part_once(monkeypatch):
     assert len(scans) == 1
     assert cert.masses[1] == pytest.approx(verdict.norm_im / 2, abs=1e-12)
     assert jp.positive_part.density
+
+
+def test_decide_on_zn_builds_no_measure(monkeypatch):
+    # the split pairs each atom with its inverse in one pass: deciding a
+    # Z_64 vector builds nothing beyond the measure itself
+    v = random_measures(64, 1, "probability", seed=4)[0]
+    m = to_measure(v)
+    builds = []
+    for mod in (measures, decompose, determine, finite):
+        monkeypatch.setattr(mod, "build_measure", lambda *a, build=mod.build_measure, **k:
+                            builds.append(a) or build(*a, **k))
+    verdict = is_determined(m)
+    assert builds == []
+    assert verdict.norm_im == brute_uniqueness(v).anti_mass

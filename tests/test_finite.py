@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from imchar import finite
 from imchar.charfn import eval_cf
 from imchar.domains import cyclic
 from imchar.errors import ParameterError, PreconditionError
@@ -113,3 +114,36 @@ def test_oracle_agreement_report():
 def test_oracle_agreement_rejects_trivial_order():
     with pytest.raises(ParameterError):
         oracle_agreement(1, 10)
+
+
+def test_dft_reads_the_fresh_product_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in range(1, 71):
+        v = FiniteMeasureVector.from_array(rng.normal(size=n))
+        jk = np.outer(np.arange(n), np.arange(n))
+        fresh = np.exp(2j * math.pi * jk / n) @ v.as_array()
+        assert dft(v).view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
+    # seventy orders went through a cache that keeps at most _CHARACTER_ORDERS
+    assert finite._characters.cache_info().currsize <= finite._CHARACTER_ORDERS
+    with pytest.raises(ValueError):
+        finite._characters(5)[0, 0] = 0.0
+
+
+def test_uniqueness_transforms_v_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(finite, "dft", lambda u, dft=finite.dft: seen.append(u) or dft(u))
+    v = FiniteMeasureVector((0.25, 0.25, 0.25, 0.25))
+    report = brute_uniqueness(v)
+    assert len(report.witnesses) >= 2
+    assert sum(u is v for u in seen) == 1
+    assert len(seen) == 1 + len(report.witnesses)
+
+
+def test_agreement_computes_each_character_table_once():
+    finite._characters.cache_clear()
+    for n in range(2, 11):
+        oracle_agreement(n, 8, seed=n)
+        oracle_agreement(n, 8, seed=n + 100)
+    info = finite._characters.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)
+    assert info.hits > 0

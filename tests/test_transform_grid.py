@@ -42,18 +42,21 @@ def _oracle_named(domain, nt, c, d, x):
     params = nt.params_dict
     if nt.reflected:
         c, d = _KINDS[domain.kind].mirror(c, d)
-    # the family's window where it has one, with the mass it leaves out
+    # the family's window where it has one, with the mass it leaves out,
+    # and the pdf's own rounding where the family bounds it
     slo, shi, tail = fam.window(params) if fam.window else (*fam.support(params), 0.0)
     lo, hi = max(c, slo), min(d, shi)
-    tail_err = abs(nt.weight) * tail
+    fixed_err = abs(nt.weight) * tail
     if lo >= hi:
-        return 0.0, tail_err, False
+        return 0.0, fixed_err, False
+    if fam.rounding:
+        fixed_err += abs(nt.weight) * fam.rounding(params, lo, hi)
     pdf = lambda t: float(fam.pdf(params, t))
     kinks = [k for k in fam.kinks(params) if lo < k < hi]
     if x == 0.0:
         # masses split at the kinks only
         r = _oracle_piecewise(lambda a, b: integrate_fn(pdf, a, b), [lo, *kinks, hi])
-        return nt.weight * r.value, abs(nt.weight) * r.error + tail_err, r.warned
+        return nt.weight * r.value, abs(nt.weight) * r.error + fixed_err, r.warned
     # transforms also split at the ends of the family's core, where the
     # production route does
     core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
@@ -63,7 +66,7 @@ def _oracle_named(domain, nt, c, d, x):
     val = complex(re.value, im.value)
     if nt.reflected:
         val = val.conjugate()
-    return (nt.weight * val, abs(nt.weight) * (re.error + im.error) + tail_err,
+    return (nt.weight * val, abs(nt.weight) * (re.error + im.error) + fixed_err,
             re.warned or im.warned)
 
 
