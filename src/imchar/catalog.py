@@ -6,6 +6,11 @@ support criterion applies, exposes the certifying set. classify() runs
 the appropriate test (norm test on R/Z/T/Zn, support criterion on Rbox
 products) and reports whether the verdict matches the expectation, so
 the whole catalog doubles as a regression suite.
+
+Named density entries take their domain, parameter check and
+certifying set (the open support) from the density registry, lattice
+entries their pmf and support from scipy.stats; the expectations and
+their reasons, the suite's oracle, are written here.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from imchar import densities
 from imchar.determine import (DeterminationVerdict, is_determined,
                               support_criterion_verdict, NORM_TOLERANCE)
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, TWO_PI, BorelSet,
@@ -95,8 +101,8 @@ def spec(name: str, **params) -> DistributionSpec:
             merged[k] = v
     clean = {}
     for k, v in merged.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParameterError(f"parameter {k!r} must be a number, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ParameterError(f"parameter {k!r} must be a finite number, got {v!r}")
         if k in entry.int_params:
             if float(v) != int(v):
                 raise ParameterError(f"parameter {k!r} must be an integer, got {v!r}")
@@ -173,20 +179,87 @@ def catalog_list_obj() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# named density families: the registry owns the domain, the parameter
+# check and the support
 
 
-def _named_builder(family: str, **rename):
-    def build(params):
-        mapped = {rename.get(k, k): v for k, v in params.items()}
-        return named_density_measure(REAL_LINE, family, mapped)
-    return build
+def _named_entry(name: str, defaults: dict, expected: str, provenance: str,
+                 flexible: bool = False):
+    fam = densities.family(name)
+    domain = CIRCLE if fam.circular else REAL_LINE
+    criterion = lambda p: None
+    if expected == DETERMINED:
+        # the open support misses its reflection and carries full mass
+        criterion = lambda p: BorelSet.from_intervals(domain, [(*fam.support(p), False, False)])
+    _register(_Entry(name, defaults, lambda p: domain,
+                     lambda p: named_density_measure(domain, name, p),
+                     lambda p: expected, provenance, criterion=criterion,
+                     validate=fam.validate, flexible=flexible))
 
 
-def _circle_named_builder(family: str):
-    def build(params):
-        return named_density_measure(CIRCLE, family, params)
-    return build
+#: reasons shared by several rows
+_WHY_HALF_LINE = "support (0, inf) is disjoint from its reflection and carries full mass"
+_WHY_UNIT = "support (0, 1) is disjoint from its reflection and carries full mass"
+_WHY_BOTH_HALVES = "positive density on both half-lines; the reflection overlap has mass"
+_WHY_WHOLE_CIRCLE = "density positive on the whole circle; the reflection overlap has mass"
+
+for _row in (
+    # continuous on R, one-sided support: determined
+    ("exponential", {"lam": 1.0}, DETERMINED, _WHY_HALF_LINE),
+    ("gamma", {"k": 2.0, "theta": 1.0}, DETERMINED, _WHY_HALF_LINE),
+    ("chi2", {"n": 2.0}, DETERMINED, _WHY_HALF_LINE),
+    ("levy", {"c": 1.0}, DETERMINED, _WHY_HALF_LINE),
+    ("maxwell", {"a": 1.0}, DETERMINED, _WHY_HALF_LINE),
+    ("pareto", {"alpha": 2.0, "xm": 1.0}, DETERMINED,
+     "support (xm, inf) with xm > 0 misses its reflection entirely"),
+    ("beta", {"a": 2.0, "b": 3.0}, DETERMINED, _WHY_UNIT),
+    ("arcsine", {}, DETERMINED, _WHY_UNIT),
+    # flexible: any number of branches p1, lam1, p2, lam2, ...
+    ("hyperexponential", {"p1": 0.3, "lam1": 1.0, "p2": 0.7, "lam2": 3.0}, DETERMINED,
+     "mixture of one-sided exponentials; support (0, inf) misses its reflection", True),
+    # continuous on R, two-sided support: never determined
+    ("normal", {"mu": 1.0, "sigma": 1.0}, NOT_DETERMINED, _WHY_BOTH_HALVES),
+    ("laplace", {"mu": 1.0, "b": 1.0}, NOT_DETERMINED, _WHY_BOTH_HALVES),
+    ("cauchy", {"mu": 1.0, "gamma": 1.0}, NOT_DETERMINED, _WHY_BOTH_HALVES),
+    # circle families with a density positive everywhere
+    ("wrapped_cauchy", {"mu": 1.0, "gamma": 1.0}, NOT_DETERMINED, _WHY_WHOLE_CIRCLE),
+    ("wrapped_normal", {"mu": 1.0, "sigma": 1.0}, NOT_DETERMINED, _WHY_WHOLE_CIRCLE),
+    ("wrapped_exponential", {"lam": 1.0}, NOT_DETERMINED, _WHY_WHOLE_CIRCLE),
+):
+    _named_entry(*_row)
+
+
+# ---------------------------------------------------------------------------
+# entries whose measure, domain and parameter checks are built here
+
+
+def _positive_params(*names):
+    def check(p):
+        for nm in names:
+            if p[nm] <= 0:
+                raise ParameterError(f"parameter {nm!r} must be positive, got {p[nm]}")
+    return check
+
+
+def _prob_param(name):
+    def check(p):
+        if not 0.0 < p[name] < 1.0:
+            raise ParameterError(f"parameter {name!r} must sit in (0, 1), got {p[name]}")
+    return check
+
+
+def _and(*checks):
+    def run(p):
+        for c in checks:
+            c(p)
+    return run
+
+
+_R = lambda p: REAL_LINE
+_Z = lambda p: INTEGERS
+
+
+# bounded-interval families on R with a location-dependent answer
 
 
 def _uniform_build(p):
@@ -222,10 +295,23 @@ def _triangular_build(p):
     return build_measure(REAL_LINE, [], list(left.density) + list(right.density))
 
 
-def _pmf_measure_bounded(dist, lo: int, hi: int) -> SignedMeasure:
-    ks = np.arange(lo, hi + 1)
-    return build_measure(INTEGERS, [(k, w) for k, w in zip(ks.tolist(), dist.pmf(ks).tolist())
-                                    if w > 0.0])
+_register(_Entry(
+    "uniform", {"a": 1.0, "b": 3.0}, _R, _uniform_build,
+    _interval_expected,
+    "determined exactly when [a, b] avoids straddling 0; a symmetric "
+    "sub-interval of positive length around 0 would lower the norm",
+    criterion=_interval_criterion, validate=_uniform_validate))
+
+_register(_Entry(
+    "triangular", {"a": 1.0, "b": 3.0}, _R, _triangular_build,
+    _interval_expected,
+    "determined exactly when [a, b] avoids straddling 0; a symmetric "
+    "sub-interval of positive length around 0 would lower the norm",
+    criterion=_interval_criterion, validate=_uniform_validate))
+
+
+# lattice families on Z: scipy's frozen distributions own the pmf and the
+# support
 
 
 def _pmf_measure_tail(dist, lo: int, shift: int = 0) -> SignedMeasure:
@@ -245,195 +331,33 @@ def _pmf_measure_tail(dist, lo: int, shift: int = 0) -> SignedMeasure:
     raise ParameterError("discrete support truncation did not converge")
 
 
-# The four lattice builders import scipy.stats themselves: the import
-# takes about a second and nothing else in the package needs it.
+def _lattice(dist_of, shift_of=lambda p: 0):
+    """Builder of the atoms of dist_of(scipy.stats, p), moved by shift_of(p).
+
+    A bounded support is read as one array; an unbounded one is walked
+    up to where its tail mass falls below _TAIL (_pmf_measure_tail).
+    """
+    def build(p) -> SignedMeasure:
+        # imported here: scipy.stats takes about a second to import and
+        # nothing else in the package needs it
+        from scipy import stats
+        dist, shift = dist_of(stats, p), shift_of(p)
+        lo, hi = dist.support()
+        if not math.isfinite(hi):
+            return _pmf_measure_tail(dist, int(lo), shift)
+        ks = np.arange(int(lo), int(hi) + 1)
+        return build_measure(INTEGERS, [(k + shift, w) for k, w in
+                                        zip(ks.tolist(), dist.pmf(ks).tolist()) if w > 0.0])
+    return build
 
 
-def _poisson_build(p, shift: int = 0) -> SignedMeasure:
-    from scipy import stats
-    return _pmf_measure_tail(stats.poisson(p["lam"]), 0, shift=shift)
+_poisson_shifted_build = _lattice(lambda st, p: st.poisson(p["lam"]), lambda p: p["shift"])
 
-
-def _binomial_build(p) -> SignedMeasure:
-    from scipy import stats
-    return _pmf_measure_bounded(stats.binom(p["n"], p["p"]), 0, p["n"])
-
-
-def _negative_binomial_build(p) -> SignedMeasure:
-    from scipy import stats
-    return _pmf_measure_tail(stats.nbinom(p["r"], p["p"]), 0)
-
-
-def _hypergeometric_build(p) -> SignedMeasure:
-    from scipy import stats
-    return _pmf_measure_bounded(stats.hypergeom(p["N"], p["K"], p["n"]),
-                                _hypergeom_lo(p), min(p["n"], p["K"]))
-
-
-def _positive_params(*names):
-    def check(p):
-        for nm in names:
-            if p[nm] <= 0:
-                raise ParameterError(f"parameter {nm!r} must be positive, got {p[nm]}")
-    return check
-
-
-def _prob_param(name):
-    def check(p):
-        if not 0.0 < p[name] < 1.0:
-            raise ParameterError(f"parameter {name!r} must sit in (0, 1), got {p[name]}")
-    return check
-
-
-def _and(*checks):
-    def run(p):
-        for c in checks:
-            c(p)
-    return run
-
-
-_R = lambda p: REAL_LINE
-_Z = lambda p: INTEGERS
-_T = lambda p: CIRCLE
-
-_HALF_LINE = lambda p: BorelSet.from_intervals(REAL_LINE, [(0.0, math.inf, False, False)])
-_UNIT = lambda p: BorelSet.from_intervals(REAL_LINE, [(0.0, 1.0, False, False)])
-
-
-# continuous on R, one-sided support: determined
-
-_register(_Entry(
-    "exponential", {"lam": 1.0}, _R, _named_builder("exponential"),
-    lambda p: DETERMINED,
-    "support (0, inf) is disjoint from its reflection and carries full mass",
-    criterion=_HALF_LINE, validate=_positive_params("lam")))
-
-_register(_Entry(
-    "gamma", {"k": 2.0, "theta": 1.0}, _R, _named_builder("gamma"),
-    lambda p: DETERMINED,
-    "support (0, inf) is disjoint from its reflection and carries full mass",
-    criterion=_HALF_LINE, validate=_positive_params("k", "theta")))
-
-_register(_Entry(
-    "chi2", {"n": 2.0}, _R, _named_builder("chi2"),
-    lambda p: DETERMINED,
-    "support (0, inf) is disjoint from its reflection and carries full mass",
-    criterion=_HALF_LINE, validate=_positive_params("n")))
-
-_register(_Entry(
-    "levy", {"c": 1.0}, _R, _named_builder("levy"),
-    lambda p: DETERMINED,
-    "support (0, inf) is disjoint from its reflection and carries full mass",
-    criterion=_HALF_LINE, validate=_positive_params("c")))
-
-_register(_Entry(
-    "maxwell", {"a": 1.0}, _R, _named_builder("maxwell"),
-    lambda p: DETERMINED,
-    "support (0, inf) is disjoint from its reflection and carries full mass",
-    criterion=_HALF_LINE, validate=_positive_params("a")))
-
-_register(_Entry(
-    "pareto", {"alpha": 2.0, "xm": 1.0}, _R, _named_builder("pareto"),
-    lambda p: DETERMINED,
-    "support (xm, inf) with xm > 0 misses its reflection entirely",
-    criterion=lambda p: BorelSet.from_intervals(
-        REAL_LINE, [(p["xm"], math.inf, False, False)]),
-    validate=_positive_params("alpha", "xm")))
-
-_register(_Entry(
-    "beta", {"a": 2.0, "b": 3.0}, _R, _named_builder("beta"),
-    lambda p: DETERMINED,
-    "support (0, 1) is disjoint from its reflection and carries full mass",
-    criterion=_UNIT, validate=_positive_params("a", "b")))
-
-_register(_Entry(
-    "arcsine", {}, _R, _named_builder("arcsine"),
-    lambda p: DETERMINED,
-    "support (0, 1) is disjoint from its reflection and carries full mass",
-    criterion=_UNIT))
-
-_register(_Entry(
-    "hyperexponential",
-    {"p1": 0.3, "lam1": 1.0, "p2": 0.7, "lam2": 3.0}, _R,
-    _named_builder("hyperexponential"),
-    lambda p: DETERMINED,
-    "mixture of one-sided exponentials; support (0, inf) misses its reflection",
-    criterion=_HALF_LINE, flexible=True))
-
-# continuous on R, two-sided support: never determined
-
-_register(_Entry(
-    "normal", {"mu": 1.0, "sigma": 1.0}, _R, _named_builder("normal"),
-    lambda p: NOT_DETERMINED,
-    "positive density on both half-lines; the reflection overlap has mass",
-    validate=_positive_params("sigma")))
-
-_register(_Entry(
-    "laplace", {"mu": 1.0, "b": 1.0}, _R, _named_builder("laplace"),
-    lambda p: NOT_DETERMINED,
-    "positive density on both half-lines; the reflection overlap has mass",
-    validate=_positive_params("b")))
-
-_register(_Entry(
-    "cauchy", {"mu": 1.0, "gamma": 1.0}, _R, _named_builder("cauchy"),
-    lambda p: NOT_DETERMINED,
-    "positive density on both half-lines; the reflection overlap has mass",
-    validate=_positive_params("gamma")))
-
-# bounded-interval families with a location-dependent answer
-
-_register(_Entry(
-    "uniform", {"a": 1.0, "b": 3.0}, _R, _uniform_build,
-    _interval_expected,
-    "determined exactly when [a, b] avoids straddling 0; a symmetric "
-    "sub-interval of positive length around 0 would lower the norm",
-    criterion=_interval_criterion, validate=_uniform_validate))
-
-_register(_Entry(
-    "triangular", {"a": 1.0, "b": 3.0}, _R, _triangular_build,
-    _interval_expected,
-    "determined exactly when [a, b] avoids straddling 0; a symmetric "
-    "sub-interval of positive length around 0 would lower the norm",
-    criterion=_interval_criterion, validate=_uniform_validate))
-
-# lattice families on Z
-
-_register(_Entry(
-    "poisson", {"lam": 1.0}, _Z,
-    _poisson_build,
-    lambda p: NOT_DETERMINED,
-    "the atom at 0 is its own reflection, so the norm is 1 - exp(-lam) < 1",
-    validate=_positive_params("lam")))
 
 def _poisson_shifted_criterion(p):
     if p["shift"] < 1:
         return None
-    m = _poisson_build(p, p["shift"])
-    return BorelSet.from_indices(INTEGERS, [a.t for a in m.atoms])
-
-
-_register(_Entry(
-    "poisson_shifted", {"lam": 1.0, "shift": 1}, _Z,
-    lambda p: _poisson_build(p, p["shift"]),
-    lambda p: DETERMINED if p["shift"] >= 1 else NOT_DETERMINED,
-    "shifting the support into {1, 2, ...} removes the overlap at 0",
-    criterion=_poisson_shifted_criterion,
-    int_params=("shift",), validate=_positive_params("lam")))
-
-_register(_Entry(
-    "binomial", {"n": 5, "p": 0.4}, _Z,
-    _binomial_build,
-    lambda p: NOT_DETERMINED,
-    "the atom at 0 is its own reflection; the norm is 1 - (1-p)^n < 1",
-    int_params=("n",),
-    validate=_and(_positive_params("n"), _prob_param("p"))))
-
-_register(_Entry(
-    "negative_binomial", {"r": 2.0, "p": 0.5}, _Z,
-    _negative_binomial_build,
-    lambda p: NOT_DETERMINED,
-    "the atom at 0 is its own reflection; the norm is 1 - p^r < 1",
-    validate=_and(_positive_params("r"), _prob_param("p"))))
+    return BorelSet.from_indices(INTEGERS, [a.t for a in _poisson_shifted_build(p).atoms])
 
 
 def _hypergeom_lo(p):
@@ -446,15 +370,45 @@ def _hypergeom_validate(p):
 
 
 _register(_Entry(
+    "poisson", {"lam": 1.0}, _Z,
+    _lattice(lambda st, p: st.poisson(p["lam"])),
+    lambda p: NOT_DETERMINED,
+    "the atom at 0 is its own reflection, so the norm is 1 - exp(-lam) < 1",
+    validate=_positive_params("lam")))
+
+_register(_Entry(
+    "poisson_shifted", {"lam": 1.0, "shift": 1}, _Z,
+    _poisson_shifted_build,
+    lambda p: DETERMINED if p["shift"] >= 1 else NOT_DETERMINED,
+    "shifting the support into {1, 2, ...} removes the overlap at 0",
+    criterion=_poisson_shifted_criterion,
+    int_params=("shift",), validate=_positive_params("lam")))
+
+_register(_Entry(
+    "binomial", {"n": 5, "p": 0.4}, _Z,
+    _lattice(lambda st, p: st.binom(p["n"], p["p"])),
+    lambda p: NOT_DETERMINED,
+    "the atom at 0 is its own reflection; the norm is 1 - (1-p)^n < 1",
+    int_params=("n",),
+    validate=_and(_positive_params("n"), _prob_param("p"))))
+
+_register(_Entry(
+    "negative_binomial", {"r": 2.0, "p": 0.5}, _Z,
+    _lattice(lambda st, p: st.nbinom(p["r"], p["p"])),
+    lambda p: NOT_DETERMINED,
+    "the atom at 0 is its own reflection; the norm is 1 - p^r < 1",
+    validate=_and(_positive_params("r"), _prob_param("p"))))
+
+_register(_Entry(
     "hypergeometric", {"N": 10, "K": 4, "n": 3}, _Z,
-    _hypergeometric_build,
+    _lattice(lambda st, p: st.hypergeom(p["N"], p["K"], p["n"])),
     lambda p: DETERMINED if _hypergeom_lo(p) >= 1 else NOT_DETERMINED,
     "determined exactly when the support's lower end n+K-N clears 0",
     criterion=lambda p: None if _hypergeom_lo(p) < 1 else BorelSet.from_indices(
         INTEGERS, range(_hypergeom_lo(p), min(p["n"], p["K"]) + 1)),
     int_params=("N", "K", "n"), validate=_hypergeom_validate))
 
-# circle families
+# the uniform arc on T
 
 
 def _arc_overlap_length(p) -> float:
@@ -469,7 +423,7 @@ def _uniform_arc_validate(p):
 
 
 _register(_Entry(
-    "uniform_arc", {"a": 0.5, "b": 2.5}, _T,
+    "uniform_arc", {"a": 0.5, "b": 2.5}, lambda p: CIRCLE,
     lambda p: poly_density_measure(CIRCLE, p["a"], p["b"],
                                    (1.0 / (p["b"] - p["a"]),)),
     lambda p: DETERMINED if _arc_overlap_length(p) == 0.0 else NOT_DETERMINED,
@@ -478,27 +432,6 @@ _register(_Entry(
         None if _arc_overlap_length(p) > 0.0 else BorelSet.from_intervals(
             CIRCLE, [(p["a"], p["b"], False, False)])),
     validate=_uniform_arc_validate))
-
-_register(_Entry(
-    "wrapped_cauchy", {"mu": 1.0, "gamma": 1.0}, _T,
-    _circle_named_builder("wrapped_cauchy"),
-    lambda p: NOT_DETERMINED,
-    "density positive on the whole circle; the reflection overlap has mass",
-    validate=_positive_params("gamma")))
-
-_register(_Entry(
-    "wrapped_normal", {"mu": 1.0, "sigma": 1.0}, _T,
-    _circle_named_builder("wrapped_normal"),
-    lambda p: NOT_DETERMINED,
-    "density positive on the whole circle; the reflection overlap has mass",
-    validate=_positive_params("sigma")))
-
-_register(_Entry(
-    "wrapped_exponential", {"lam": 1.0}, _T,
-    _circle_named_builder("wrapped_exponential"),
-    lambda p: NOT_DETERMINED,
-    "density positive on the whole circle; the reflection overlap has mass",
-    validate=_positive_params("lam")))
 
 # product measures on Rbox
 
@@ -510,17 +443,14 @@ def _mv_pareto_build(p):
     return product_measure([factor] * dim)
 
 
-def _mv_pareto_criterion(p):
-    dim = p["dim"]
-    return BorelSet.box(real_box(dim), [(1.0, math.inf, False, False)] * dim)
-
-
 _register(_Entry(
     "multivariate_pareto", {"alpha": 2.0, "dim": 2},
     lambda p: real_box(p["dim"]), _mv_pareto_build,
     lambda p: DETERMINED,
     "the box (1, inf)^d misses its reflection and carries full mass",
-    criterion=_mv_pareto_criterion, int_params=("dim",),
+    criterion=lambda p: BorelSet.box(real_box(p["dim"]),
+                                     [(1.0, math.inf, False, False)] * p["dim"]),
+    int_params=("dim",),
     validate=_positive_params("alpha", "dim")))
 
 

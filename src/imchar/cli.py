@@ -227,23 +227,25 @@ _INPUT_FLAGS = (
     ("--dist", dict(help="catalog distribution name")),
     ("--params", dict(help="comma-separated k=v parameter overrides")),
     ("--measure", dict(help="path to a measure JSON file")),
-    ("--tolerance", dict(type=float, default=NORM_TOLERANCE,
-                         help="determination tolerance (default 1e-6); a norm within it "
-                              "of 1 counts as determined unless the measure "
-                              "provably shares mass with its reflection")),
     ("--out", dict(help="write output to this file instead of stdout")),
     ("--format", dict(choices=["json", "csv"], default=None,
                       help="output encoding (json everywhere; csv for cf-grid)")),
 )
+#: the input flags of the subcommands that decide on the norm
+_DECIDE_FLAGS = _INPUT_FLAGS + (
+    ("--tolerance", dict(type=float, default=NORM_TOLERANCE,
+                         help="determination tolerance (default 1e-6); a norm within it "
+                              "of 1 counts as determined unless the measure "
+                              "provably shares mass with its reflection")),)
 _OUTPUT_FLAGS = (("--out", {}), ("--format", dict(choices=["json", "csv"], default=None)))
 
 #: (name, body, help, flags) per subcommand, in --help order
 _COMMANDS = (
-    ("classify", _cmd_classify, "determination verdict", _INPUT_FLAGS),
-    ("norm", _cmd_norm, "norm of the transform's imaginary part", _INPUT_FLAGS),
+    ("classify", _cmd_classify, "determination verdict", _DECIDE_FLAGS),
+    ("norm", _cmd_norm, "norm of the transform's imaginary part", _DECIDE_FLAGS),
     ("companion", _cmd_companion, "distinct measure with the same imaginary part",
-     _INPUT_FLAGS + (("--sigma", dict(default="zero", help='symmetric filler: '
-                                      '"zero" (default) or "pair:<a>"')),)),
+     _DECIDE_FLAGS + (("--sigma", dict(default="zero", help='symmetric filler: '
+                                       '"zero" (default) or "pair:<a>"')),)),
     ("decompose", _cmd_decompose, "symmetric/antisymmetric and Jordan decompositions",
      _INPUT_FLAGS),
     ("verify-lemma1", _cmd_verify_lemma1,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
-from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure, _memo,
-                             _reflection_sums, _sign_pieces, build_measure, mass,
+from imchar.measures import (DensitySegment, SignedMeasure, _memo, _reflection_sums,
+                             _scaled_segment, _sign_pieces, build_measure, mass,
                              measure_of, scale, total_variation)
 
 
@@ -87,7 +87,7 @@ def hahn_jordan(m: SignedMeasure) -> JordanPair:
         if sgn > 0:
             pos_segs.append(DensitySegment(lo, hi, seg.coeffs, seg.named))
         elif sgn < 0:
-            neg_segs.append(_negate_segment(DensitySegment(lo, hi, seg.coeffs, seg.named)))
+            neg_segs.append(_scaled_segment(DensitySegment(lo, hi, seg.coeffs, seg.named), -1.0))
             neg_spans.append((lo, hi, False, False))
 
     positive = build_measure(domain, pos_atoms, pos_segs)
@@ -111,13 +111,6 @@ def hahn_jordan(m: SignedMeasure) -> JordanPair:
                 BorelSet.points(domain, [t for t, _ in pos_atoms]).complement())
         a_pos = a_neg.complement()
     return JordanPair(positive, negative, a_pos, a_neg)
-
-
-def _negate_segment(seg: DensitySegment) -> DensitySegment:
-    coeffs = tuple(-c for c in seg.coeffs) if seg.coeffs else None
-    named = tuple(NamedTerm(nt.name, nt.params, -nt.weight, nt.reflected)
-                  for nt in seg.named)
-    return DensitySegment(seg.lower, seg.upper, coeffs, named)
 
 
 def antisymmetry_defect(m: SignedMeasure) -> float:

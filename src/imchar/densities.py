@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
+from imchar.domains import TWO_PI
 from imchar.errors import ParameterError
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,9 @@ def _gamma_window(k: float, scale: float, power: float = 1.0):
 
 # -- rounding -----------------------------------------------------------------
 
-#: bound on one rounding, relative to the magnitude rounded (twice the
-#: unit roundoff, so a log or an exp within one ulp stays covered)
+#: bound on one rounding, relative to the magnitude rounded: twice the
+#: unit roundoff, so a log, an exp, a pow or a complex product within one
+#: ulp stays covered
 _ULP = 2.0 ** -52
 #: |log t| for every positive float t (t = 0 is an endpoint, never a node)
 _LOG_TINY = -math.log(math.ulp(0.0))

@@ -200,8 +200,7 @@ def sigma_measure(domain: GroupDomain, sigma) -> tuple[SignedMeasure, str]:
 
 
 def companion(m: SignedMeasure, sigma="zero",
-              tolerance: float = NORM_TOLERANCE,
-              grid_points: int = 64) -> CompanionResult:
+              tolerance: float = NORM_TOLERANCE) -> CompanionResult:
     """A different probability measure whose transform has the same
     imaginary part as m's.
 
@@ -213,7 +212,8 @@ def companion(m: SignedMeasure, sigma="zero",
     The companion is 2*(m_a)+ plus (1 - norm) times the chosen
     symmetric sigma. InternalCheckError is raised when it misses unit
     mass, has a negative atom, or its imaginary part leaves m's by more
-    than the error bounds of the two transforms on the default grid.
+    than the error bounds of the two transforms on the default 64-point
+    grid.
     """
     require_probability(m)
     if m.domain.kind == "Rbox":
@@ -236,7 +236,7 @@ def companion(m: SignedMeasure, sigma="zero",
         if a.w < -1e-10:
             raise InternalCheckError(f"companion atom at {a.t} came out negative: {a.w}")
 
-    grid = default_dual_grid(m.domain, grid_points)
+    grid = default_dual_grid(m.domain, 64)
     sm, sn = sample_cf(m, grid), sample_cf(nu, grid)
     gaps = np.abs(sm.values.imag - sn.values.imag)
     bound = sm.errors + sn.errors
@@ -254,8 +254,7 @@ def companion(m: SignedMeasure, sigma="zero",
 # reconstruction
 
 
-def reconstruct(eta: SignedMeasure, tolerance: float = MASS_TOLERANCE,
-                validate: bool = True) -> SignedMeasure:
+def reconstruct(eta: SignedMeasure, tolerance: float = MASS_TOLERANCE) -> SignedMeasure:
     """Recover the unique probability measure from its antisymmetric part.
 
     eta must be antisymmetric with total variation 1 (within tolerance),
@@ -272,13 +271,12 @@ def reconstruct(eta: SignedMeasure, tolerance: float = MASS_TOLERANCE,
             f"reconstruction needs ||eta|| = 1 within {tolerance:.1e}, got {norm!r}; "
             "below 1 the imaginary part admits many measures (see companion)")
     mu = scale(hahn_jordan(eta).positive_part, 2.0)
-    if validate:
-        gap = abs(mass(mu) - 1.0)
-        if gap > 1e-7:
-            raise InternalCheckError(f"reconstructed mass misses 1 by {gap:.3e}")
-        report = psd_check(mu, default_dual_grid(mu.domain, 8), 1e-8)
-        if not report.is_psd:
-            raise InternalCheckError(
-                f"reconstructed transform fails positive semidefiniteness: "
-                f"min eigenvalue {report.min_eigenvalue:.3e}")
+    gap = abs(mass(mu) - 1.0)
+    if gap > 1e-7:
+        raise InternalCheckError(f"reconstructed mass misses 1 by {gap:.3e}")
+    report = psd_check(mu, default_dual_grid(mu.domain, 8), 1e-8)
+    if not report.is_psd:
+        raise InternalCheckError(
+            f"reconstructed transform fails positive semidefiniteness: "
+            f"min eigenvalue {report.min_eigenvalue:.3e}")
     return mu

@@ -107,8 +107,7 @@ def _antisymmetric_part(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v - v[(-np.arange(n)) % n])
 
 
-def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12,
-                     cross_check: bool | None = None) -> UniquenessReport:
+def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12) -> UniquenessReport:
     """Decide whether Im dft(v) determines the probability vector v.
 
     Closed form: unique iff the antisymmetric mass sum |a_k| reaches
@@ -116,11 +115,11 @@ def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12,
     are returned: probability vectors distinct from v whose transforms
     share the imaginary part (verified here to 1e-12 before returning).
 
-    cross_check (default: automatic for n <= 8) reruns the decision by
-    searching symmetric completions on a slack grid of step 1/64 and
-    raises InternalCheckError if the two routes ever disagree. The
-    search is skipped in the gray band 0 < slack < 1e-6 where every
-    grid candidate sits within the witness gap of v itself.
+    For n <= 8 the decision is rerun by searching symmetric completions
+    on a slack grid of step 1/64, and InternalCheckError is raised if
+    the two routes ever disagree. The search is skipped in the gray band
+    0 < slack < 1e-6 where every grid candidate sits within the witness
+    gap of v itself.
     """
     arr = v.as_array()
     n = v.order
@@ -150,9 +149,7 @@ def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12,
                 if all(w != seen for seen in witnesses):
                     witnesses.append(w)
 
-    if cross_check is None:
-        cross_check = n <= 8
-    if cross_check and n <= 8:
+    if n <= 8:
         grid_unique = _grid_uniqueness(arr, a, slack, n)
         if grid_unique is not None and grid_unique != unique:
             raise InternalCheckError(

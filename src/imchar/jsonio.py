@@ -38,17 +38,18 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to deterministic JSON text (trailing newline included)."""
+def dumps(obj) -> str:
+    """Serialize to deterministic JSON text, two spaces per level
+    (trailing newline included)."""
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(obj, out: list[str], indent: int, depth: int):
-    pad = " " * (indent * depth)
-    pad_in = " " * (indent * (depth + 1))
+def _write(obj, out: list[str], depth: int):
+    pad = "  " * depth
+    pad_in = "  " * (depth + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -64,7 +65,7 @@ def _write(obj, out: list[str], indent: int, depth: int):
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad_in)
-            _write(item, out, indent, depth + 1)
+            _write(item, out, depth + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -79,7 +80,7 @@ def _write(obj, out: list[str], indent: int, depth: int):
             out.append(pad_in)
             out.append(_escape(k))
             out.append(": ")
-            _write(obj[k], out, indent, depth + 1)
+            _write(obj[k], out, depth + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     else:

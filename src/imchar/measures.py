@@ -32,6 +32,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from imchar import densities
+from imchar.densities import _ULP
 from imchar.domains import (_KINDS, TWO_PI, BorelSet, GroupDomain,
                             canonical_point, check_same_domain, negate_point)
 from imchar.errors import ParameterError, UnsupportedDomainError
@@ -271,11 +272,6 @@ def density_value(m: SignedMeasure, t) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # integration of segments
-
-
-#: bound on one rounding, relative to the magnitude rounded: twice the
-#: unit roundoff, so a complex product or a pow within one ulp stays covered
-_ULP = 2.0 ** -52
 
 
 def _poly_integral(coeffs, a: float, b: float, x: float) -> tuple:

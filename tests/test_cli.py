@@ -213,6 +213,26 @@ def test_cf_grid_non_finite_bounds_are_input_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("dist,params", [
+    ("binomial", "n=inf"),
+    ("binomial", "n=nan"),
+    ("poisson", "lam=inf"),
+    ("uniform", "a=-inf"),
+])
+def test_non_finite_catalog_parameters_are_input_errors(dist, params):
+    proc = run_subprocess("classify", "--dist", dist, "--params", params)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "must be a finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify-lemma1", "cf-grid"])
+def test_tolerance_is_refused_where_nothing_decides(capsys, command):
+    # only classify, norm and companion take --tolerance
+    code, _, err = run(capsys, command, "--dist", "normal", "--tolerance", "1e-3")
+    assert code == 1 and "--tolerance" in err
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(imchar.__file__))
     code = "import sys, imchar; print('scipy.stats' in sys.modules)"
