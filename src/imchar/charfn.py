@@ -23,7 +23,7 @@ import numpy as np
 
 from imchar.domains import _KINDS, TWO_PI, GroupDomain
 from imchar.errors import ParameterError, UnsupportedDomainError
-from imchar.measures import _ULP, SignedMeasure, segment_mass
+from imchar.measures import _ULP, SignedMeasure, _memo, segment_mass
 
 #: Gram matrices above this order are refused (dense eigensolve budget)
 MAX_GRAM_ORDER = 64
@@ -55,7 +55,9 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
     """Values, additive error bounds and warning flags on a grid of dual points.
 
     Density segments are the outer loop and the dual points the inner
-    one, so each segment integral sees the whole grid. The bound covers
+    one, so each segment integral sees the whole grid, and the named
+    terms' pdf tables are kept on m, so every later transform of m reads
+    the nodes this one evaluated. The bound covers
     the atom sum too: each phase is off by at most _ULP |x| (|t| + 2 pi),
     the 2 pi for a location mirrored on T, each product and each addition
     rounds by _ULP of the atoms' total |weight|, and each segment added to
@@ -74,8 +76,10 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
         values.append(total)
         errors.append(_ULP * (abs(xf) * spread + rounding))
     warned = [False] * len(xs)
+    tables = _memo(m, "_pdf_tables_memo", lambda m: {})
     for k, seg in enumerate(m.density):
-        for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid)):
+        for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid,
+                                                   tables)):
             values[i] += v
             errors[i] += e + (_ULP * abs(values[i]) if k or m.atoms else 0.0)
             warned[i] = warned[i] or w

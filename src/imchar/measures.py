@@ -18,7 +18,12 @@ a_k = (v_k - v_{-k}) / 2: the oracle and the measure path share the
 formula, so they agree bit for bit.
 
 One function, segment_mass, integrates a segment against e^{ixt}: at
-x = 0 it gives masses and total variations, elsewhere transforms.
+x = 0 it gives masses and total variations, elsewhere transforms. A
+transform reads each named pdf through a table (_PdfTable) that QUADPACK
+calls directly, so a node already read costs one C dict lookup. The
+tables of finite pieces are kept on the measure (charfn passes them in),
+so every transform of one measure evaluates a node once; a grid
+integrates each pair of points +-x once and conjugates.
 """
 
 from __future__ import annotations
@@ -335,8 +340,26 @@ def _poly_integral(coeffs, a: float, b: float, x: float) -> tuple:
     return val, err
 
 
+class _PdfTable(dict):
+    """One named family's pdf by node, each value computed on its first read.
+
+    QUADPACK calls the bound ``__getitem__``, so a hit is dict's own C
+    lookup with no Python frame; only a miss runs ``__missing__``.
+    """
+
+    __slots__ = ("pdf", "params")
+
+    def __init__(self, pdf, params: dict):
+        super().__init__()
+        self.pdf, self.params = pdf, params
+
+    def __missing__(self, t):
+        v = self[t] = float(self.pdf(self.params, t))
+        return v
+
+
 def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
-                    xs) -> list:
+                    xs, tables: dict) -> list:
     """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d].
 
     One (value, error, warned) triple per dual point x of xs. A family
@@ -345,6 +368,15 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     the family bounds it: relative to values whose integral over [c, d]
     is at most 1. A family with a core also splits its transforms, not
     its masses, at the core's ends.
+
+    Transforms read the pdf through _PdfTable, so each quadrature node is
+    evaluated once per table: the cos and sin integrals, the pieces and
+    the fallback route share it. Finite pieces read the table that
+    ``tables`` holds under (name, params), kept by the caller across
+    calls; nodes are in the family's own orientation, so a term and its
+    reflection share it. Infinite pieces read a fresh table at each x.
+    A point whose exact negation came earlier in xs is not integrated
+    again: it takes that point's conjugate value, error and flag.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -364,43 +396,37 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     # boundary: quadrature rules assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
-    # The cos and sin integrals, every piece and the fallback route ask
-    # for nearly the same nodes, so the pdf is read through a table and
-    # each node is evaluated once. QAWO reuses its nodes at every x of a
-    # finite piece, so one table serves every finite piece over the whole
-    # grid; QAWF's nodes follow its cycle pi/|x|, so an infinite piece
-    # reads a table that starts afresh at each x and memory stays bounded
-    # by one point.
-    grid_table: dict = {}
-    point_table: dict = {}
-
-    def trig(a, b, x, kind):
-        table = grid_table if math.isfinite(a) and math.isfinite(b) else point_table
-
-        def tabled(t):
-            v = table.get(t)
-            if v is None:
-                v = table[t] = float(fam.pdf(params, t))
-            return v
-        return integrate_trig(tabled, a, b, x, kind)
-
-    out = []
+    out, done = [], {}
     for x in xs:
         if x == 0.0:
             r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
             out.append((nt.weight * r.value, abs(nt.weight) * r.error + fixed_err,
                         r.warned))
             continue
-        point_table.clear()
+        if -x in done:
+            # integrate_trig at -x recurses to +x and negates the sin part,
+            # so this is the value it would give, up to the sign of a zero
+            # part, which charfn._transform's sums (started at +0) erase
+            v, e, w = done[-x]
+            out.append((v.conjugate(), e, w))
+            continue
+        # QAWO reuses its nodes at every x of a finite piece; QAWF's nodes
+        # follow its cycle pi/|x|, so a table kept across x would only grow
+        finite = tables.get((nt.name, nt.params))
+        if finite is None:
+            finite = tables[nt.name, nt.params] = _PdfTable(fam.pdf, params)
+        infinite = _PdfTable(fam.pdf, params)
+        read = lambda a, b: (finite if math.isfinite(a) and math.isfinite(b)
+                             else infinite).__getitem__
         xcuts = _transform_cuts(cuts, core, abs(x))
-        re = _piecewise(lambda a, b: trig(a, b, x, "cos"), xcuts)
-        im = _piecewise(lambda a, b: trig(a, b, x, "sin"), xcuts)
+        re = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "cos"), xcuts)
+        im = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "sin"), xcuts)
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
-        out.append((nt.weight * val,
-                    abs(nt.weight) * (re.error + im.error) + fixed_err,
-                    re.warned or im.warned))
+        done[x] = (nt.weight * val, abs(nt.weight) * (re.error + im.error) + fixed_err,
+                   re.warned or im.warned)
+        out.append(done[x])
     return out
 
 
@@ -453,18 +479,24 @@ def _piecewise(integrate, cuts) -> QuadResult:
 
 
 def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
-                 x=0.0):
+                 x=0.0, tables: dict | None = None):
     """Integral of e^{ixt} times one segment's density over [c, d] (caller clips).
 
     Returns (value, error, warned) like ``charfn.eval_cf_with_error``.
     At the default x = 0 the value is the real signed mass; otherwise
     it is the segment's transform at x, a complex number. x may also be
-    a list or tuple of dual points, a grid: the result is then a list
-    with one such triple per point, and each named term evaluates its
-    pdf once per quadrature node (on a finite interval, once over the
-    whole grid).
+    a list, tuple or 1-D array of dual points, a grid: the result is
+    then a list with one such triple per point, and a pair of points
+    +-x is integrated once. Each named term reads its pdf on finite
+    pieces through a table in ``tables``, keyed by (name, params), that
+    evaluates each quadrature node once; pass the same dict again (charfn
+    keeps one on the measure) and later calls read those values too.
     """
-    xs = x if isinstance(x, (list, tuple)) else (x,)
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        x = x.tolist()
+    grid = isinstance(x, (list, tuple))
+    xs = x if grid else (x,)
+    tables = {} if tables is None else tables
     vals, errs, warned = [0.0] * len(xs), [0.0] * len(xs), [False] * len(xs)
     if c < d:
         if seg.coeffs:
@@ -472,14 +504,14 @@ def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
                 pv, errs[i] = _poly_integral(seg.coeffs, c, d, xv)
                 vals[i] += pv
         for nt in seg.named:
-            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, xs)):
+            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, xs, tables)):
                 vals[i] += v
                 # v's product with the weight rounds by _ULP |v|, and its
                 # addition by _ULP of the new sum
                 errs[i] += e + _ULP * (abs(v) + abs(vals[i]))
                 warned[i] = warned[i] or w
     out = list(zip(vals, errs, warned))
-    return out if xs is x else out[0]
+    return out if grid else out[0]
 
 
 # ---------------------------------------------------------------------------

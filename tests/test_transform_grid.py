@@ -1,4 +1,4 @@
-"""Transform grids: one pdf table per named term, per-point bounds, tiny dual points."""
+"""Transform grids: pdf tables kept on the measure, +-x pairs, per-point bounds, tiny dual points."""
 
 import dataclasses
 import json
@@ -22,8 +22,9 @@ from imchar.charfn import (default_dual_grid, eval_cf, eval_cf_with_error, psd_c
                            sample_cf)
 from imchar.cli import main
 from imchar.domains import _KINDS, CIRCLE, REAL_LINE, cyclic
-from imchar.measures import (_ULP, _poly_integral, _transform_cuts, from_atoms,
-                             named_density_measure, reflect)
+from imchar.measures import (_ULP, _poly_integral, _transform_cuts, add, from_atoms,
+                             named_density_measure, poly_density_measure, reflect,
+                             segment_mass)
 from imchar.quadrature import QuadResult, integrate_fn, integrate_trig
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,7 @@ def _assert_grid_matches_oracle(m, grid):
         assert struct.pack("d", sample.errors[i]) == struct.pack("d", e), x
         assert bool(sample.warned[i]) == w, x
     assert sample.error_bound == max([0.0, *sample.errors])
+    return sample
 
 
 _R_GRID = st.lists(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), min_size=1, max_size=4)
@@ -156,6 +158,42 @@ def test_catalog_grid_matches_oracle_bitwise(name):
     _assert_grid_matches_oracle(m, grid)
 
 
+@pytest.mark.parametrize("name", sorted(PARAM_STRATEGIES))
+@pytest.mark.parametrize("mirrored", [False, True])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_negation_closed_grid_matches_oracle_bitwise(name, mirrored, data):
+    # a point whose negation came first takes its conjugate, which is what
+    # integrating at the point itself gives
+    fam = densities.family(name)
+    params = data.draw(PARAM_STRATEGIES[name])
+    with np.errstate(all="ignore"):
+        domain, half = (CIRCLE, _T_GRID) if fam.circular else (REAL_LINE, _R_GRID)
+        m = named_density_measure(domain, name, params)
+        if mirrored:
+            m = reflect(m)
+        half = data.draw(half)
+        grid = data.draw(st.permutations(half + [-x for x in half]))
+        sample = _assert_grid_matches_oracle(m, grid)
+    for i, x in enumerate(grid):
+        j = grid.index(-x)
+        assert sample.values[j] == sample.values[i].conjugate(), x
+        assert sample.errors[j] == sample.errors[i], x
+
+
+def test_segment_mass_takes_an_array_grid():
+    m = add(poly_density_measure(REAL_LINE, -1.0, 2.0, [0.5, 0.1]),
+            named_density_measure(REAL_LINE, "cauchy", {"mu": 0.3, "gamma": 0.7}))
+    grid = np.array([-2.5, 0.0, 0.75, 2.5, -0.0])
+    for seg in m.density:
+        got = segment_mass(REAL_LINE, seg, seg.lower, seg.upper, grid)
+        want = segment_mass(REAL_LINE, seg, seg.lower, seg.upper, grid.tolist())
+        assert len(got) == len(want) == len(grid)
+        for (v, e, w), (v0, e0, w0) in zip(got, want):
+            assert _bits(complex(v)) == _bits(complex(v0))
+            assert struct.pack("d", e) == struct.pack("d", e0) and w == w0
+
+
 # ---------------------------------------------------------------------------
 # kernel calls
 
@@ -186,6 +224,29 @@ def test_wrapped_normal_grid_shares_one_table(monkeypatch):
     sample_cf(m, range(-32, 32))
     # QAWO reuses its nodes at every frequency: 31,330 calls without a table
     assert len(nodes) < 1000
+
+
+def test_kernel_once_per_node_across_calls_on_one_measure(monkeypatch):
+    # every piece of normal(0, 1) is finite, so every node lands in the
+    # table the measure keeps
+    m = named_density_measure(REAL_LINE, "normal", {"mu": 0.0, "sigma": 1.0})
+    nodes = _count_pdf_calls(monkeypatch, "normal")
+    for x in (0.5, 3.0, 15.0):
+        eval_cf_with_error(m, x)
+    sample_cf(m, (1.0, 2.0, -3.0))
+    assert len(nodes) == len(set(nodes))
+
+
+@pytest.mark.parametrize("name", ["normal", "cauchy", "laplace"])
+def test_negated_points_are_integrated_once(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(imchar.measures, "integrate_trig",
+                        lambda *args: calls.append(args[3]) or integrate_trig(*args))
+    half = [0.0, 0.5, 3.0, 15.0]
+    sample_cf(make_measure(spec(name)), half)
+    once = len(calls)
+    sample_cf(reflect(make_measure(spec(name))), [-15.0, 0.5, -0.0, -3.0, 15.0, 3.0, -0.5])
+    assert once and len(calls) == 2 * once
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_STRATEGIES))
