@@ -2,33 +2,27 @@
 Which classical distributions are determined by Im f?
 =====================================================
 
-Walks the whole built-in catalog, computes the norm of the imaginary
-part where the domain supports it, and compares the verdict with the
-classification each entry expects. One-sided laws (gamma, Pareto,
-levy, ...) come out determined; anything whose support straddles the
-origin does not.
+Walks the whole built-in catalog, classifies each entry (is_determined:
+does the measure share mass with its reflection?) next to the norm of
+the imaginary part where the domain supports it, and compares the
+verdict with the classification each entry expects. One-sided laws
+(gamma, Pareto, levy, ...) come out determined; anything whose support
+straddles the origin does not.
 """
 
 from imchar import catalog
 from imchar.determine import bnorm_im
-from imchar.errors import UnsupportedDomainError
 
 print(f"{'name':22} {'domain':6} {'norm of Im f':>14}   verdict")
 print("-" * 60)
 for entry in catalog.catalog_list_obj():
-    sp = catalog.spec(entry["name"])
-    m = catalog.make_measure(sp)
-    try:
-        norm = bnorm_im(m)
-    except UnsupportedDomainError:
-        # multivariate boxes certify determination through the support
-        # criterion instead; there is no transform norm to report
-        print(f"{entry['name']:22} {entry['domain']:6} {'(support)':>14}   "
-              f"{entry['expected']}")
-        continue
-    verdict = "determined" if norm >= 1.0 - 1e-6 else "not determined"
-    flag = "" if verdict.replace(" ", "_") == entry["expected"] else "  <- MISMATCH"
-    print(f"{entry['name']:22} {entry['domain']:6} {norm:14.9f}   {verdict}{flag}")
+    result = catalog.classify(catalog.spec(entry["name"]))
+    norm = result.verdict.norm_im
+    # products are decided by their factors and report no norm
+    shown = "(product)" if norm is None else f"{norm:.9f}"
+    verdict = "determined" if result.verdict.determined else "not determined"
+    flag = "" if result.agrees else "  <- MISMATCH"
+    print(f"{entry['name']:22} {entry['domain']:6} {shown:>14}   {verdict}{flag}")
 
 print()
 print("uniform on [a, b] flips exactly when the interval crosses 0:")

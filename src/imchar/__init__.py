@@ -3,7 +3,8 @@
 The toolkit represents finite signed measures on R, Z, the circle, the
 cyclic groups and box products of the line; computes the norm of the
 imaginary part of a characteristic function (the total variation of the
-measure's antisymmetric part); decides determination (norm equal to 1);
+measure's antisymmetric part); decides determination exactly, by
+whether the measure shares mass with its reflection (norm equal to 1);
 constructs explicit companion measures when determination fails; and
 reconstructs the unique measure when it holds. A closed-form oracle on
 Z_n cross-validates the whole pipeline.

@@ -3,9 +3,9 @@
 Each entry builds a measure from validated parameters, states the
 expected classification together with a one-line reason, and, where the
 support criterion applies, exposes the certifying set. classify() runs
-the appropriate test (norm test on R/Z/T/Zn, support criterion on Rbox
-products) and reports whether the verdict matches the expectation, so
-the whole catalog doubles as a regression suite.
+is_determined on every domain (products are decided by their factors)
+and reports whether the verdict matches the expectation, so the whole
+catalog doubles as a regression suite.
 
 Named density entries take their domain, parameter check and
 certifying set (the open support) from the density registry, lattice
@@ -22,8 +22,7 @@ from typing import Callable
 import numpy as np
 
 from imchar import densities
-from imchar.determine import (DeterminationVerdict, is_determined,
-                              support_criterion_verdict, NORM_TOLERANCE)
+from imchar.determine import DeterminationVerdict, is_determined
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, TWO_PI, BorelSet,
                             GroupDomain, real_box)
 from imchar.errors import ParameterError
@@ -141,26 +140,18 @@ def provenance(sp: DistributionSpec) -> str:
     return _entry(sp.name).provenance
 
 
-def classify(sp: DistributionSpec, tolerance: float = NORM_TOLERANCE) -> ClassifyResult:
-    """Run the determination test and compare with the catalog expectation."""
+def classify(sp: DistributionSpec) -> ClassifyResult:
+    """Run is_determined and compare with the catalog expectation."""
     entry = _entry(sp.name)
     params = sp.params_dict
-    m = entry.build(params)
-    if entry.domain(params).kind == "Rbox":
-        u = entry.criterion(params)
-        if u is None:
-            raise ParameterError(f"{sp.name} has no criterion set; products "
-                                 "classify via the support criterion only")
-        verdict = support_criterion_verdict(m, u)
-    else:
-        verdict = is_determined(m, tolerance)
+    verdict = is_determined(entry.build(params))
     expected = entry.expected(params)
     agrees = verdict.determined == (expected == DETERMINED)
     return ClassifyResult(sp, verdict, expected, agrees)
 
 
-def classify_all(tolerance: float = NORM_TOLERANCE) -> list[ClassifyResult]:
-    return [classify(spec(name), tolerance) for name in catalog_names()]
+def classify_all() -> list[ClassifyResult]:
+    return [classify(spec(name)) for name in catalog_names()]
 
 
 def catalog_list_obj() -> list[dict]:

@@ -10,8 +10,8 @@ and residues mod n for measures on Z_n. Atom sums are direct complex
 exponential sums whose rounding joins each point's error bound; density
 segments go through ``measures.segment_mass``,
 the one segment integral, whose value at x = 0 is the mass. Product
-measures on Rbox are not evaluated here (classification there uses the
-support criterion), matching the representation's scope.
+measures on Rbox are not evaluated here (is_determined decides them by
+their factors), matching the representation's scope.
 """
 
 from __future__ import annotations

@@ -29,11 +29,10 @@ import sys
 from imchar import catalog, jsonio, wire
 from imchar.charfn import sample_cf
 from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
-from imchar.determine import (NORM_TOLERANCE, bnorm_im, companion,
-                              is_determined, support_criterion_verdict)
+from imchar.determine import bnorm_im, companion, is_determined
 from imchar.domains import _KINDS
 from imchar.errors import ImcharError, InternalCheckError, ParameterError
-from imchar.finite import oracle_agreement
+from imchar.finite import MAX_ORACLE_ORDER, oracle_agreement
 from imchar.measures import SignedMeasure
 
 EXIT_OK = 0
@@ -114,7 +113,7 @@ def _parse_sigma(text: str):
 def _cmd_classify(args) -> int:
     if args.dist:
         sp = catalog.spec(args.dist, **_parse_params(args.params or ""))
-        result = catalog.classify(sp, tolerance=args.tolerance)
+        result = catalog.classify(sp)
         obj = result.verdict.to_obj()
         obj["distribution"] = args.dist
         obj["expected"] = result.expected
@@ -122,21 +121,19 @@ def _cmd_classify(args) -> int:
         _emit_obj(args, obj)
         return EXIT_OK if result.agrees else EXIT_INTERNAL
     m, _ = _load_input(args)
-    verdict = is_determined(m, tolerance=args.tolerance)
-    _emit_obj(args, verdict.to_obj())
+    _emit_obj(args, is_determined(m).to_obj())
     return EXIT_OK
 
 
 def _cmd_norm(args) -> int:
     m, _ = _load_input(args)
-    norm = bnorm_im(m)
-    _emit_obj(args, {"norm_im": norm, "tolerance": args.tolerance})
+    _emit_obj(args, {"norm_im": bnorm_im(m)})
     return EXIT_OK
 
 
 def _cmd_companion(args) -> int:
     m, _ = _load_input(args)
-    result = companion(m, _parse_sigma(args.sigma), tolerance=args.tolerance)
+    result = companion(m, _parse_sigma(args.sigma))
     obj = {
         "sigma": result.sigma_choice,
         "norm_im": result.norm_im,
@@ -231,27 +228,21 @@ _INPUT_FLAGS = (
     ("--format", dict(choices=["json", "csv"], default=None,
                       help="output encoding (json everywhere; csv for cf-grid)")),
 )
-#: the input flags of the subcommands that decide on the norm
-_DECIDE_FLAGS = _INPUT_FLAGS + (
-    ("--tolerance", dict(type=float, default=NORM_TOLERANCE,
-                         help="determination tolerance (default 1e-6); a norm within it "
-                              "of 1 counts as determined unless the measure "
-                              "provably shares mass with its reflection")),)
 _OUTPUT_FLAGS = (("--out", {}), ("--format", dict(choices=["json", "csv"], default=None)))
 
 #: (name, body, help, flags) per subcommand, in --help order
 _COMMANDS = (
-    ("classify", _cmd_classify, "determination verdict", _DECIDE_FLAGS),
-    ("norm", _cmd_norm, "norm of the transform's imaginary part", _DECIDE_FLAGS),
+    ("classify", _cmd_classify, "determination verdict", _INPUT_FLAGS),
+    ("norm", _cmd_norm, "norm of the transform's imaginary part", _INPUT_FLAGS),
     ("companion", _cmd_companion, "distinct measure with the same imaginary part",
-     _DECIDE_FLAGS + (("--sigma", dict(default="zero", help='symmetric filler: '
+     _INPUT_FLAGS + (("--sigma", dict(default="zero", help='symmetric filler: '
                                        '"zero" (default) or "pair:<a>"')),)),
     ("decompose", _cmd_decompose, "symmetric/antisymmetric and Jordan decompositions",
      _INPUT_FLAGS),
     ("verify-lemma1", _cmd_verify_lemma1,
      "disjoint-support certificate for the antisymmetric part", _INPUT_FLAGS),
     ("oracle", _cmd_oracle, "Z_n closed-form agreement run",
-     (("--n", dict(type=int, required=True, help="group order (>= 2)")),
+     (("--n", dict(type=int, required=True, help=f"group order (2 to {MAX_ORACLE_ORDER})")),
       ("--trials", dict(type=int, default=100)),
       ("--seed", dict(type=int, default=0))) + _OUTPUT_FLAGS),
     ("catalog-list", _cmd_catalog_list, "catalog entries as JSON", _OUTPUT_FLAGS),

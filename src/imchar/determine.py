@@ -2,9 +2,11 @@
 
 For a probability measure m with transform f, the norm of Im f in the
 measure-transform algebra equals the total variation of the
-antisymmetric part m_a, and Im f determines f among characteristic
-functions exactly when that norm is 1. When it is smaller there are
-infinitely many companions; one canonical companion is
+antisymmetric part m_a, which is 1 - ||m ∧ m~|| for the reflection m~.
+So Im f determines f among characteristic functions exactly when m and
+m~ share no mass, a finite question about atoms and supports that
+is_determined answers without a tolerance. When they share mass there
+are infinitely many companions; one canonical companion is
 
     nu = 2 * (m_a)+  +  (1 - ||m_a||) * sigma
 
@@ -32,8 +34,6 @@ from imchar.measures import (SignedMeasure, _sign_pieces, add, build_measure,
                              mass, measure_of, point_mass, scale, segment_mass,
                              total_variation)
 
-#: default decision tolerance for the norm-equals-one test
-NORM_TOLERANCE = 1e-6
 #: mass precision a probability measure input must meet
 MASS_TOLERANCE = 1e-9
 #: relative length a density piece and a reflected one must share to
@@ -46,21 +46,19 @@ _OVERLAP_TOL = 1e-11
 class DeterminationVerdict:
     """Outcome of a determination test.
 
-    method is "NormTest" when the verdict compares norm_im with
-    1 - tolerance, "ReflectionOverlap" when m and its reflection
-    provably share mass (not determined, whatever the float norm reads),
-    and "SupportCriterion" when a set certifies determination; norm_im
-    is None in that last case, which does not compute the norm.
+    method is "ReflectionOverlap" when the verdict says whether m shares
+    mass with its reflection, and "SupportCriterion" when a set
+    certifies determination. norm_im is None on Rbox products and for
+    the support criterion, neither of which computes the norm.
     """
 
     norm_im: float | None
     determined: bool
     method: str
-    tolerance: float
 
     def to_obj(self) -> dict:
         return {"norm_im": self.norm_im, "determined": self.determined,
-                "method": self.method, "tolerance": self.tolerance}
+                "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -103,35 +101,40 @@ def bnorm_im(m: SignedMeasure) -> float:
     if m.domain.kind == "Rbox":
         raise UnsupportedDomainError(
             "norm evaluation is not available on Rbox products; "
-            "use support_criterion_check for classification there")
+            "is_determined decides them by their factors")
     return total_variation(sym_anti_split(m).antisymmetric_part)
 
 
-def is_determined(m: SignedMeasure, tolerance: float = NORM_TOLERANCE) -> DeterminationVerdict:
-    """Norm test: Im f determines f iff the norm reaches 1 (within tolerance).
+def is_determined(m: SignedMeasure) -> DeterminationVerdict:
+    """Im f determines f iff m shares no mass with its reflection m~.
 
-    The norm is 1 - ||m ∧ m~||, one minus the mass m shares with its
-    reflection m~, and a float cannot show a shared mass far below the
-    tolerance (a normal density centred at 200 shares about 1e-8700).
-    So a norm that reaches 1 - tolerance is trusted only when no such
-    overlap is evident: if an atom and its inverse both carry positive
-    weight (an atom at a self-inverse point counts), or a positive
-    density piece meets the reflection of one over more than a rounded
-    root's width, the verdict is "not determined" by method
-    "ReflectionOverlap", with the norm as computed.
+    The verdict is exact: m shares mass with m~ when an atom and its
+    inverse both carry positive weight (an atom at a self-inverse point
+    counts), when a positive density piece meets the reflection of one
+    over more than a rounded root's width, or, on Rbox, when every
+    factor does (Hellinger affinities multiply, Kakutani 1948). A float
+    norm could not show a shared mass far below its rounding (a normal
+    density centred at 200 shares about 1e-8700).
+    The norm is reported off Rbox; a "determined" verdict whose norm
+    falls short of 1 by more than the input's mass slack plus the
+    norm's quadrature (2 * MASS_TOLERANCE) raises InternalCheckError.
     """
-    if not (0.0 < tolerance < 1.0):
-        raise ParameterError(f"tolerance must sit in (0, 1), got {tolerance}")
-    return _norm_verdict(m, bnorm_im(m), tolerance)
-
-
-def _norm_verdict(m: SignedMeasure, norm: float, tolerance: float) -> DeterminationVerdict:
-    if norm >= 1.0 - tolerance and _shares_mass_with_reflection(m):
-        return DeterminationVerdict(norm, False, "ReflectionOverlap", tolerance)
-    return DeterminationVerdict(norm, norm >= 1.0 - tolerance, "NormTest", tolerance)
+    if m.domain.kind == "Rbox":
+        require_probability(m)
+        norm = None
+    else:
+        norm = bnorm_im(m)
+    determined = not _shares_mass_with_reflection(m)
+    if determined and norm is not None and norm < 1.0 - 2 * MASS_TOLERANCE:
+        raise InternalCheckError(
+            f"m shares no mass with its reflection, yet the norm of the "
+            f"imaginary part is {norm!r}, short of 1 by more than {2 * MASS_TOLERANCE:.1e}")
+    return DeterminationVerdict(norm, determined, "ReflectionOverlap")
 
 
 def _shares_mass_with_reflection(m: SignedMeasure) -> bool:
+    if m.factors:
+        return all(_shares_mass_with_reflection(f) for f in m.factors)
     weights = {a.t: a.w for a in m.atoms}
     if any(w > 0.0 and weights.get(negate_point(m.domain, t), 0.0) > 0.0
            for t, w in weights.items()):
@@ -176,8 +179,7 @@ def support_criterion_check(m: SignedMeasure, u: BorelSet,
 
 def support_criterion_verdict(m: SignedMeasure, u: BorelSet,
                               tol: float = MASS_TOLERANCE) -> DeterminationVerdict:
-    ok = support_criterion_check(m, u, tol)
-    return DeterminationVerdict(None, ok, "SupportCriterion", tol)
+    return DeterminationVerdict(None, support_criterion_check(m, u, tol), "SupportCriterion")
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +201,15 @@ def sigma_measure(domain: GroupDomain, sigma) -> tuple[SignedMeasure, str]:
     raise ParameterError(f'sigma must be "zero" or ("pair", a), got {sigma!r}')
 
 
-def companion(m: SignedMeasure, sigma="zero",
-              tolerance: float = NORM_TOLERANCE) -> CompanionResult:
+def companion(m: SignedMeasure, sigma="zero") -> CompanionResult:
     """A different probability measure whose transform has the same
     imaginary part as m's.
 
-    Exists exactly when the norm of Im f stays below 1. This raises
-    PreconditionError where is_determined says "determined" (see
-    reconstruct): inside the tolerance band around 1 unless m provably
-    shares mass with its reflection, in which case the companion is
-    built and may differ from m by less than the float norm can show.
-    The companion is 2*(m_a)+ plus (1 - norm) times the chosen
-    symmetric sigma. InternalCheckError is raised when it misses unit
+    Exists exactly when m shares mass with its reflection, so this
+    raises PreconditionError where is_determined says "determined" (see
+    reconstruct); a companion may differ from m by less than the float
+    norm can show. The companion is 2*(m_a)+ plus (1 - norm) times the
+    chosen symmetric sigma. InternalCheckError is raised when it misses unit
     mass, has a negative atom, or its imaginary part leaves m's by more
     than the error bounds of the two transforms on the default 64-point
     grid.
@@ -218,13 +217,13 @@ def companion(m: SignedMeasure, sigma="zero",
     require_probability(m)
     if m.domain.kind == "Rbox":
         raise UnsupportedDomainError("companions are not constructed on Rbox products")
+    if not _shares_mass_with_reflection(m):
+        raise PreconditionError(
+            "the measure shares no mass with its reflection: the imaginary part "
+            "already determines the transform and no companion exists; "
+            "reconstruct recovers the unique measure")
     eta = sym_anti_split(m).antisymmetric_part
     norm = total_variation(eta)
-    if _norm_verdict(m, norm, tolerance).determined:
-        raise PreconditionError(
-            f"norm of the imaginary part is {norm:.12g}, within {tolerance:.1e} of 1: "
-            "the imaginary part already determines the transform and no "
-            "companion exists; reconstruct recovers the unique measure")
     filler, label = sigma_measure(m.domain, sigma)
     nu = add(scale(hahn_jordan(eta).positive_part, 2.0),
              scale(filler, 1.0 - norm))

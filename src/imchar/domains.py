@@ -471,7 +471,7 @@ _KINDS: dict[str, _Kind] = {
         point=_refuse("points on Rbox are vectors; use tuple coordinates directly"),
         negate=_refuse("points on Rbox are vectors; negate coordinatewise"),
         dual=_refuse("transforms on Rbox products are outside the representation; "
-                     "use the support criterion for classification there"),
+                     "is_determined decides products by their factors"),
         dual_grid=_refuse("no dual grid on Rbox products"),
         whole=lambda d: BorelSet(d, boxes=(tuple(_LINE for _ in range(d.n)),))),
 }

@@ -32,6 +32,9 @@ _WITNESS_GAP = 1e-9
 #: character tables kept, one per order (an agreement run over
 #: n = 2..64 keeps all of its own)
 _CHARACTER_ORDERS = 64
+#: largest order an agreement run accepts: a character table, an n x n
+#: complex array, then takes 1 MB, and the kept tables 64 MB at most
+MAX_ORACLE_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -265,21 +268,30 @@ def oracle_agreement(n: int, trials: int, seed: int = 0,
     """Compare the closed-form oracle against the measure pipeline.
 
     For each random probability vector the oracle's uniqueness verdict
-    is checked against the norm test run through the full signed-measure
-    machinery at the same tolerance; witnesses are validated as they
+    (the antisymmetric mass against 1 - tol) is checked against
+    is_determined run through the full signed-measure machinery, and
+    the two norms must agree to 1e-12; witnesses are validated as they
     are produced. Returns a JSON-ready report; disagreements must be 0.
+    n runs from 2 to MAX_ORACLE_ORDER, trials is at least 1 and seed is
+    nonnegative; anything else is refused before a table is built.
     """
     from imchar.determine import is_determined
 
     if n < 2:
         raise ParameterError("agreement runs need n >= 2; on the trivial group "
                              "the norm criterion degenerates (see brute_uniqueness)")
+    if n > MAX_ORACLE_ORDER:
+        raise ParameterError(f"agreement runs are limited to n <= {MAX_ORACLE_ORDER}, got {n}")
+    if trials < 1:
+        raise ParameterError(f"agreement runs need at least one trial, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"the seed must be nonnegative, got {seed}")
     vectors = random_measures(n, trials, "probability", seed)
     agreements = disagreements = witness_count = 0
     min_norm, max_norm = math.inf, -math.inf
     for v in vectors:
         report = brute_uniqueness(v, tol)
-        verdict = is_determined(to_measure(v), tolerance=tol)
+        verdict = is_determined(to_measure(v))
         min_norm = min(min_norm, verdict.norm_im)
         max_norm = max(max_norm, verdict.norm_im)
         same_answer = report.unique == verdict.determined

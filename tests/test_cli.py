@@ -34,6 +34,13 @@ def test_classify_not_determined(capsys):
     assert obj["determined"] is False
 
 
+def test_decisions_report_no_tolerance(capsys):
+    code, out, _ = run(capsys, "norm", "--dist", "normal")
+    assert code == 0 and list(json.loads(out)) == ["norm_im"]
+    code, out, _ = run(capsys, "classify", "--dist", "normal")
+    assert code == 0 and "tolerance" not in json.loads(out)
+
+
 def test_norm_value(capsys):
     code, out, _ = run(capsys, "norm", "--dist", "uniform",
                        "--params", "a=-1,b=3")
@@ -82,6 +89,15 @@ def test_oracle_run(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["disagreements"] == 0 and obj["trials"] == 20
+
+
+@pytest.mark.parametrize("flags", [
+    ("--seed", "-1"), ("--trials", "0"), ("--trials", "-1"),
+    ("--n", str(imchar.finite.MAX_ORACLE_ORDER + 1))])
+def test_oracle_refuses_bad_runs(capsys, flags):
+    code, out, err = run(capsys, "oracle", "--n", "3", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "non-finite" not in err
 
 
 def test_catalog_list(capsys):
@@ -226,9 +242,10 @@ def test_non_finite_catalog_parameters_are_input_errors(dist, params):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["decompose", "verify-lemma1", "cf-grid"])
+@pytest.mark.parametrize("command", ["classify", "norm", "companion", "decompose",
+                                     "verify-lemma1", "cf-grid"])
 def test_tolerance_is_refused_where_nothing_decides(capsys, command):
-    # only classify, norm and companion take --tolerance
+    # no subcommand takes --tolerance: verdicts read no tolerance
     code, _, err = run(capsys, command, "--dist", "normal", "--tolerance", "1e-3")
     assert code == 1 and "--tolerance" in err
 

@@ -7,14 +7,17 @@ import pytest
 
 import helpers
 from imchar import decompose, determine, finite, measures
+from imchar.catalog import criterion_set, make_measure, spec
 from imchar.charfn import eval_cf, im_cf
+from imchar.cli import main
 from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
 from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
                               require_probability, sigma_measure,
                               support_criterion_check,
                               support_criterion_verdict)
 from imchar.domains import INTEGERS, REAL_LINE, BorelSet, real_box
-from imchar.errors import InternalCheckError, ParameterError, PreconditionError
+from imchar.errors import (InternalCheckError, ParameterError, PreconditionError,
+                           UnsupportedDomainError)
 from imchar.finite import brute_uniqueness, random_measures, to_measure
 from imchar.measures import (from_atoms, named_density_measure, point_mass,
                              poly_density_measure, product_measure, scale,
@@ -62,11 +65,11 @@ def test_negative_dip_between_old_scan_points_is_refused():
 
 def test_verdict_fields():
     v = is_determined(point_mass(REAL_LINE, 1.0))
-    assert v.determined and v.norm_im == 1.0 and v.method == "NormTest"
+    assert v.determined and v.norm_im == 1.0 and v.method == "ReflectionOverlap"
     v2 = is_determined(poly_density_measure(REAL_LINE, -1.0, 3.0, [0.25]))
     assert not v2.determined and v2.norm_im == 0.5
     obj = v2.to_obj()
-    assert obj["determined"] is False and obj["method"] == "NormTest"
+    assert obj["determined"] is False and obj["method"] == "ReflectionOverlap"
 
 
 def test_determined_examples():
@@ -102,6 +105,36 @@ def test_support_criterion_on_product():
     assert support_criterion_check(prod, box)
     sym_box = BorelSet.box(real_box(2), [(-2.0, 2.0), (-2.0, 2.0)])
     assert not support_criterion_check(prod, sym_box)
+
+
+@pytest.mark.parametrize("name", ["multivariate_pareto", "dirichlet"])
+def test_products_agree_with_their_criterion_sets(name):
+    sp = spec(name)
+    m = make_measure(sp)
+    v = is_determined(m)
+    assert v.determined == support_criterion_check(m, criterion_set(sp)) is True
+    assert v.norm_im is None and v.method == "ReflectionOverlap"
+
+
+def test_a_product_is_determined_by_one_singular_factor():
+    normal = named_density_measure(REAL_LINE, "normal", {"mu": 0.0, "sigma": 1.0})
+    pareto = named_density_measure(REAL_LINE, "pareto", {"alpha": 2.0, "xm": 1.0})
+    assert is_determined(product_measure([normal, pareto])).determined
+    assert not is_determined(product_measure([normal, normal])).determined
+    with pytest.raises(UnsupportedDomainError) as info:
+        bnorm_im(product_measure([normal, pareto]))
+    assert "support_criterion_check" not in str(info.value)
+
+
+def test_a_singular_verdict_with_a_short_norm_is_an_internal_fault(monkeypatch, capsys):
+    gamma = make_measure(spec("gamma"))
+    monkeypatch.setattr(determine, "total_variation", lambda m: 0.5)
+    with pytest.raises(InternalCheckError, match="shares no mass"):
+        is_determined(gamma)
+    assert main(["classify", "--dist", "gamma"]) == 2
+    assert capsys.readouterr().err.startswith("internal check failed:")
+    with pytest.raises(PreconditionError):
+        companion(gamma)
 
 
 def test_sigma_measures():

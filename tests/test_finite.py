@@ -116,6 +116,22 @@ def test_oracle_agreement_rejects_trivial_order():
         oracle_agreement(1, 10)
 
 
+@pytest.mark.parametrize("n,trials,seed", [
+    (3, 0, 0), (3, -1, 0), (3, 5, -1), (finite.MAX_ORACLE_ORDER + 1, 5, 0)])
+def test_oracle_agreement_refuses_bad_runs_before_building(monkeypatch, n, trials, seed):
+    def no_table(order):
+        raise AssertionError(f"character table of order {order} built")
+
+    monkeypatch.setattr(finite, "_characters", no_table)
+    with pytest.raises(ParameterError):
+        oracle_agreement(n, trials, seed)
+
+
+def test_oracle_agreement_runs_at_its_largest_order():
+    report = oracle_agreement(finite.MAX_ORACLE_ORDER, 1, seed=2)
+    assert report["agreements"] == 1 and report["disagreements"] == 0
+
+
 def test_dft_reads_the_fresh_product_bit_for_bit():
     rng = np.random.default_rng(8)
     for n in range(1, 71):

@@ -297,7 +297,7 @@ def test_atoms_shared_with_the_reflection(domain, atoms):
 ])
 def test_one_sided_measures_stay_determined(m):
     v = is_determined(m)
-    assert v.determined and v.method == "NormTest"
+    assert v.determined and v.method == "ReflectionOverlap"
 
 
 @pytest.mark.parametrize("entry", [
@@ -312,7 +312,7 @@ def test_named_segments_past_their_support_stay_one_sided(entry):
     m = loads_measure(json.dumps({"domain": {"kind": "R"}, "atoms": [],
                                   "density": [dict(entry, form="named")]}))
     v = is_determined(m)
-    assert v.determined and v.method == "NormTest"
+    assert v.determined and v.method == "ReflectionOverlap"
 
 
 def test_companion_takes_the_same_verdict():
