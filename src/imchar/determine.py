@@ -5,7 +5,8 @@ measure-transform algebra equals the total variation of the
 antisymmetric part m_a, which is 1 - ||m ∧ m~|| for the reflection m~.
 So Im f determines f among characteristic functions exactly when m and
 m~ share no mass, a finite question about atoms and supports that
-is_determined answers without a tolerance. When they share mass there
+is_determined answers from them, leaving to the norm only an overlap
+narrower than a rounded root. When they share mass there
 are infinitely many companions; one canonical companion is
 
     nu = 2 * (m_a)+  +  (1 - ||m_a||) * sigma
@@ -20,7 +21,7 @@ mu = 2 * (m_a)+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from imchar.measures import (SignedMeasure, _sign_pieces, add, build_measure,
 #: mass precision a probability measure input must meet
 MASS_TOLERANCE = 1e-9
 #: relative length a density piece and a reflected one must share to
-#: count as overlapping: ten times the width within which sign changes
-#: are solved, so two ends that meet at a rounded root do not count
+#: overlap for sure: ten times the width within which sign changes are
+#: solved, so a shorter overlap may be a rounded root and the norm decides
 _OVERLAP_TOL = 1e-11
 
 
@@ -57,8 +58,7 @@ class DeterminationVerdict:
     method: str
 
     def to_obj(self) -> dict:
-        return {"norm_im": self.norm_im, "determined": self.determined,
-                "method": self.method}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -108,45 +108,53 @@ def bnorm_im(m: SignedMeasure) -> float:
 def is_determined(m: SignedMeasure) -> DeterminationVerdict:
     """Im f determines f iff m shares no mass with its reflection m~.
 
-    The verdict is exact: m shares mass with m~ when an atom and its
-    inverse both carry positive weight (an atom at a self-inverse point
-    counts), when a positive density piece meets the reflection of one
-    over more than a rounded root's width, or, on Rbox, when every
-    factor does (Hellinger affinities multiply, Kakutani 1948). A float
-    norm could not show a shared mass far below its rounding (a normal
-    density centred at 200 shares about 1e-8700).
-    The norm is reported off Rbox; a "determined" verdict whose norm
-    falls short of 1 by more than the input's mass slack plus the
-    norm's quadrature (2 * MASS_TOLERANCE) raises InternalCheckError.
+    m shares mass with m~ when an atom and its inverse both carry
+    positive weight (a self-inverse atom counts), when a positive density
+    piece meets the reflection of one over more than a rounded root's
+    width, or, on Rbox, when every factor does (Hellinger affinities
+    multiply, Kakutani 1948); no float norm could show a mass as small as
+    normal(200, 1) shares (about 1e-8700). The norm, reported off Rbox,
+    settles only a narrower overlap (a root met from both sides or a
+    support that short): shared mass when it misses 1 by more than the
+    input's mass slack plus its quadrature, 2 * MASS_TOLERANCE. A
+    "determined" verdict whose norm misses 1 by more is an internal fault.
     """
-    if m.domain.kind == "Rbox":
-        require_probability(m)
-        norm = None
-    else:
-        norm = bnorm_im(m)
-    determined = not _shares_mass_with_reflection(m)
-    if determined and norm is not None and norm < 1.0 - 2 * MASS_TOLERANCE:
-        raise InternalCheckError(
-            f"m shares no mass with its reflection, yet the norm of the "
-            f"imaginary part is {norm!r}, short of 1 by more than {2 * MASS_TOLERANCE:.1e}")
+    require_probability(m)
+    norm, determined = _norm_and_verdict(m)
     return DeterminationVerdict(norm, determined, "ReflectionOverlap")
 
 
-def _shares_mass_with_reflection(m: SignedMeasure) -> bool:
+def _norm_and_verdict(m: SignedMeasure) -> tuple[float | None, bool]:
+    """(norm of Im f, determined) for a probability measure m: the one
+    place a verdict is made, cross-checked against the norm (None on
+    Rbox, where each factor's verdict is cross-checked against its own)."""
     if m.factors:
-        return all(_shares_mass_with_reflection(f) for f in m.factors)
+        return None, any(_norm_and_verdict(f)[1] for f in m.factors)
+    norm = total_variation(sym_anti_split(m).antisymmetric_part)
+    full = norm >= 1.0 - 2 * MASS_TOLERANCE
+    overlap = _reflection_overlap(m)
+    if overlap is False and not full:
+        raise InternalCheckError(f"m shares no mass with its reflection, yet its norm "
+                                 f"{norm!r} misses 1 by more than {2 * MASS_TOLERANCE:.1e}")
+    return norm, full if overlap is None else not overlap
+
+
+def _reflection_overlap(m: SignedMeasure) -> bool | None:
+    """Whether m shares mass with its reflection; None when the only
+    overlap is narrower than a rounded root's width."""
     weights = {a.t: a.w for a in m.atoms}
     if any(w > 0.0 and weights.get(negate_point(m.domain, t), 0.0) > 0.0
            for t, w in weights.items()):
         return True
     pieces = _positive_pieces(m)
     mirror = _KINDS[m.domain.kind].mirror
-    for lo, hi in pieces:
-        for rlo, rhi in (mirror(c, d) for c, d in pieces):
-            a, b = max(lo, rlo), min(hi, rhi)
-            if a < b and (math.isinf(b - a) or b - a > _OVERLAP_TOL * max(1.0, abs(a), abs(b))):
-                return True
-    return False
+    overlaps = [(max(lo, c), min(hi, d)) for lo, hi in pieces
+                for c, d in (mirror(*p) for p in pieces)]
+    wide = [math.isinf(b - a) or b - a > _OVERLAP_TOL * max(1.0, abs(a), abs(b))
+            for a, b in overlaps if a < b]
+    if any(wide):
+        return True
+    return None if wide else False
 
 
 def _positive_pieces(m: SignedMeasure) -> list[tuple[float, float]]:
@@ -169,17 +177,16 @@ def _positive_pieces(m: SignedMeasure) -> list[tuple[float, float]]:
     return out
 
 
-def support_criterion_check(m: SignedMeasure, u: BorelSet,
-                            tol: float = MASS_TOLERANCE) -> bool:
-    """Sufficient condition: u ∩ (-u) = ∅ and m(u) = 1 certify determination."""
+def support_criterion_check(m: SignedMeasure, u: BorelSet) -> bool:
+    """Sufficient condition: u ∩ (-u) = ∅ and m(u) = 1 (within
+    MASS_TOLERANCE) certify determination."""
     if not u.intersect(u.negate()).is_empty():
         return False
-    return abs(measure_of(m, u) - 1.0) <= tol
+    return abs(measure_of(m, u) - 1.0) <= MASS_TOLERANCE
 
 
-def support_criterion_verdict(m: SignedMeasure, u: BorelSet,
-                              tol: float = MASS_TOLERANCE) -> DeterminationVerdict:
-    return DeterminationVerdict(None, support_criterion_check(m, u, tol), "SupportCriterion")
+def support_criterion_verdict(m: SignedMeasure, u: BorelSet) -> DeterminationVerdict:
+    return DeterminationVerdict(None, support_criterion_check(m, u), "SupportCriterion")
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +212,25 @@ def companion(m: SignedMeasure, sigma="zero") -> CompanionResult:
     """A different probability measure whose transform has the same
     imaginary part as m's.
 
-    Exists exactly when m shares mass with its reflection, so this
-    raises PreconditionError where is_determined says "determined" (see
-    reconstruct); a companion may differ from m by less than the float
-    norm can show. The companion is 2*(m_a)+ plus (1 - norm) times the
-    chosen symmetric sigma. InternalCheckError is raised when it misses unit
-    mass, has a negative atom, or its imaginary part leaves m's by more
-    than the error bounds of the two transforms on the default 64-point
-    grid.
+    Exists exactly when m shares mass with its reflection, so this takes
+    is_determined's verdict and cross-check and raises PreconditionError
+    where it says "determined" (see reconstruct); a companion may differ
+    from m by less than the float norm can show. The companion is
+    2*(m_a)+ plus (1 - norm) times the chosen symmetric sigma.
+    InternalCheckError is raised when it misses unit mass, has a negative
+    atom, or its imaginary part leaves m's by more than the error bounds
+    of the two transforms on the default 64-point grid.
     """
     require_probability(m)
     if m.domain.kind == "Rbox":
         raise UnsupportedDomainError("companions are not constructed on Rbox products")
-    if not _shares_mass_with_reflection(m):
+    norm, determined = _norm_and_verdict(m)
+    if determined:
         raise PreconditionError(
             "the measure shares no mass with its reflection: the imaginary part "
             "already determines the transform and no companion exists; "
             "reconstruct recovers the unique measure")
     eta = sym_anti_split(m).antisymmetric_part
-    norm = total_variation(eta)
     filler, label = sigma_measure(m.domain, sigma)
     nu = add(scale(hahn_jordan(eta).positive_part, 2.0),
              scale(filler, 1.0 - norm))

@@ -263,17 +263,15 @@ def random_measures(n: int, count: int, kind: str = "probability",
     return out
 
 
-def oracle_agreement(n: int, trials: int, seed: int = 0,
-                     tol: float = 1e-12) -> dict:
+def oracle_agreement(n: int, trials: int, seed: int = 0) -> dict:
     """Compare the closed-form oracle against the measure pipeline.
 
-    For each random probability vector the oracle's uniqueness verdict
-    (the antisymmetric mass against 1 - tol) is checked against
-    is_determined run through the full signed-measure machinery, and
-    the two norms must agree to 1e-12; witnesses are validated as they
-    are produced. Returns a JSON-ready report; disagreements must be 0.
-    n runs from 2 to MAX_ORACLE_ORDER, trials is at least 1 and seed is
-    nonnegative; anything else is refused before a table is built.
+    For each random probability vector brute_uniqueness's verdict is
+    checked against is_determined's, and the two norms must agree to
+    1e-12; witnesses are validated as they are produced. Returns a
+    JSON-ready report; disagreements must be 0. n runs from 2 to
+    MAX_ORACLE_ORDER, trials is at least 1 and seed is nonnegative;
+    anything else is refused before a table is built.
     """
     from imchar.determine import is_determined
 
@@ -290,7 +288,7 @@ def oracle_agreement(n: int, trials: int, seed: int = 0,
     agreements = disagreements = witness_count = 0
     min_norm, max_norm = math.inf, -math.inf
     for v in vectors:
-        report = brute_uniqueness(v, tol)
+        report = brute_uniqueness(v)
         verdict = is_determined(to_measure(v))
         min_norm = min(min_norm, verdict.norm_im)
         max_norm = max(max_norm, verdict.norm_im)

@@ -1,5 +1,6 @@
 """Norm of the imaginary part, verdicts, companions, reconstruction."""
 
+import json
 import math
 
 import numpy as np
@@ -133,8 +134,33 @@ def test_a_singular_verdict_with_a_short_norm_is_an_internal_fault(monkeypatch, 
         is_determined(gamma)
     assert main(["classify", "--dist", "gamma"]) == 2
     assert capsys.readouterr().err.startswith("internal check failed:")
+    # companion takes the same verdict, so the same cross-check
+    with pytest.raises(InternalCheckError, match="shares no mass"):
+        companion(gamma)
+    monkeypatch.undo()
     with pytest.raises(PreconditionError):
         companion(gamma)
+
+
+# supports shorter than the overlap cutoff, all symmetric: norm 0
+_SHORT = [("uniform", "a=-1e-12,b=1e-12"), ("triangular", "a=-1e-12,b=1e-12"),
+          ("uniform_arc", f"a={math.pi - 1e-12!r},b={math.pi + 1e-12!r}")]
+
+
+@pytest.mark.parametrize("name,params", _SHORT)
+def test_an_overlap_below_the_cutoff_is_settled_by_the_norm(capsys, name, params):
+    assert main(["classify", "--dist", name, "--params", params]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agrees"] is True and out["determined"] is False and out["norm_im"] == 0.0
+    assert main(["companion", "--dist", name, "--params", params]) == 0
+    assert json.loads(capsys.readouterr().out)["norm_im"] == 0.0
+
+
+def test_a_product_of_short_symmetric_factors_is_not_determined():
+    short = make_measure(spec("uniform", a=-1e-12, b=1e-12))
+    assert not is_determined(product_measure([short, short])).determined
+    pareto = make_measure(spec("pareto"))
+    assert is_determined(product_measure([short, pareto])).determined
 
 
 def test_sigma_measures():
