@@ -23,10 +23,12 @@ import numpy as np
 
 from imchar.domains import _KINDS, TWO_PI, GroupDomain
 from imchar.errors import ParameterError, UnsupportedDomainError
-from imchar.measures import _ULP, SignedMeasure, _memo, segment_mass
+from imchar.measures import _ULP, SignedMeasure, segment_mass
 
 #: Gram matrices above this order are refused (dense eigensolve budget)
 MAX_GRAM_ORDER = 64
+#: psd_check passes a Gram matrix whose smallest eigenvalue clears -PSD_TOLERANCE
+PSD_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,8 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
     """Values, additive error bounds and warning flags on a grid of dual points.
 
     Density segments are the outer loop and the dual points the inner
-    one, so each segment integral sees the whole grid, and the named
-    terms' pdf tables are kept on m, so every later transform of m reads
-    the nodes this one evaluated. The bound covers
+    one, so each segment integral sees the whole grid; segment_mass
+    integrates each |x| once and keeps the pdf tables. The bound covers
     the atom sum too: each phase is off by at most _ULP |x| (|t| + 2 pi),
     the 2 pi for a location mirrored on T, each product and each addition
     rounds by _ULP of the atoms' total |weight|, and each segment added to
@@ -76,10 +77,8 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
         values.append(total)
         errors.append(_ULP * (abs(xf) * spread + rounding))
     warned = [False] * len(xs)
-    tables = _memo(m, "_pdf_tables_memo", lambda m: {})
     for k, seg in enumerate(m.density):
-        for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid,
-                                                   tables)):
+        for i, (v, e, w) in enumerate(segment_mass(m.domain, seg, seg.lower, seg.upper, grid)):
             values[i] += v
             errors[i] += e + (_ULP * abs(values[i]) if k or m.atoms else 0.0)
             warned[i] = warned[i] or w
@@ -133,11 +132,11 @@ def default_dual_grid(domain: GroupDomain, count: int = 64):
     return _KINDS[domain.kind].dual_grid(domain, count)
 
 
-def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramReport:
+def psd_check(m: SignedMeasure, points=None) -> GramReport:
     """Hermitian Gram test of positive definiteness on chosen dual points.
 
     Builds G[j, k] = f(x_j - x_k), symmetrizes against roundoff and
-    reports the smallest eigenvalue; is_psd means it clears -tolerance.
+    reports the smallest eigenvalue; is_psd means it clears -PSD_TOLERANCE.
     """
     if points is None:
         points = default_dual_grid(m.domain, 8)
@@ -164,5 +163,5 @@ def psd_check(m: SignedMeasure, points=None, tolerance: float = 1e-8) -> GramRep
     g = 0.5 * (g + g.conj().T)
     eigs = np.linalg.eigvalsh(g)
     lam = float(eigs[0])
-    return GramReport(tuple(pts), lam, lam >= -tolerance)
+    return GramReport(tuple(pts), lam, lam >= -PSD_TOLERANCE)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
-from imchar.measures import (DensitySegment, SignedMeasure, _memo, _reflection_sums,
-                             _scaled_segment, _sign_pieces, build_measure, mass,
-                             measure_of, scale, total_variation)
+from imchar.measures import (MASS_TOLERANCE, DensitySegment, SignedMeasure, _memo,
+                             _reflection_sums, _scaled_segment, _sign_pieces,
+                             build_measure, mass, measure_of, scale, total_variation)
 
 
 @dataclass(frozen=True)
@@ -118,22 +118,23 @@ def antisymmetry_defect(m: SignedMeasure) -> float:
     return total_variation(_reflection_sums(m)[0])
 
 
-def require_antisymmetric(m: SignedMeasure, tol: float = 1e-9):
+def require_antisymmetric(m: SignedMeasure):
     defect = antisymmetry_defect(m)
-    if defect > tol:
+    if defect > MASS_TOLERANCE:
         raise PreconditionError(
             f"measure is not antisymmetric: ||m + reflect(m)|| = {defect:.3e} "
-            f"exceeds {tol:.1e}")
+            f"exceeds {MASS_TOLERANCE:.1e}")
 
 
-def v_set_certificate(eta: SignedMeasure, tol: float = 1e-9) -> VSetCertificate:
+def v_set_certificate(eta: SignedMeasure) -> VSetCertificate:
     """Build V = A+ ∩ (-A-) for antisymmetric eta and report its masses.
 
-    Raises PreconditionError when eta is not antisymmetric within tol.
+    Raises PreconditionError when eta is not antisymmetric within
+    MASS_TOLERANCE.
     The returned masses are (eta+(V), ||eta+||, ||eta-||, eta-(-V)); the
     Jordan parts are nonnegative, so their norms are their masses.
     """
-    require_antisymmetric(eta, tol)
+    require_antisymmetric(eta)
     jp = hahn_jordan(eta)
     v = jp.hahn_positive.intersect(jp.hahn_negative.negate())
     disjoint = v.intersect(v.negate()).is_empty()

@@ -5,8 +5,8 @@ measure-transform algebra equals the total variation of the
 antisymmetric part m_a, which is 1 - ||m ∧ m~|| for the reflection m~.
 So Im f determines f among characteristic functions exactly when m and
 m~ share no mass, a finite question about atoms and supports that
-is_determined answers from them, leaving to the norm only an overlap
-narrower than a rounded root. When they share mass there
+is_determined answers from them alone; the norm is reported and
+cross-checked but decides nothing. When they share mass there
 are infinitely many companions; one canonical companion is
 
     nu = 2 * (m_a)+  +  (1 - ||m_a||) * sigma
@@ -20,7 +20,6 @@ mu = 2 * (m_a)+.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,16 +30,9 @@ from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
 from imchar.domains import _KINDS, BorelSet, GroupDomain, canonical_point, negate_point
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
-from imchar.measures import (SignedMeasure, _sign_pieces, add, build_measure,
-                             mass, measure_of, point_mass, scale, segment_mass,
-                             total_variation)
-
-#: mass precision a probability measure input must meet
-MASS_TOLERANCE = 1e-9
-#: relative length a density piece and a reflected one must share to
-#: overlap for sure: ten times the width within which sign changes are
-#: solved, so a shorter overlap may be a rounded root and the norm decides
-_OVERLAP_TOL = 1e-11
+from imchar.measures import (_ROOT_TOL, MASS_TOLERANCE, SignedMeasure, _sign_pieces, add,
+                             build_measure, mass, measure_of, point_mass, scale,
+                             segment_mass, total_variation)
 
 
 @dataclass(frozen=True)
@@ -71,22 +63,22 @@ class CompanionResult:
     distinctness: float
 
 
-def require_probability(m: SignedMeasure, tol: float = MASS_TOLERANCE):
-    """Check mass 1 within tol and no negative part of mass beyond tol."""
+def require_probability(m: SignedMeasure):
+    """Check mass 1 within MASS_TOLERANCE and no negative part of mass beyond it."""
     total = mass(m)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > MASS_TOLERANCE:
         raise PreconditionError(f"probability measure expected: total mass {total!r} "
-                                f"misses 1 by more than {tol:.1e}")
+                                f"misses 1 by more than {MASS_TOLERANCE:.1e}")
     if m.factors:
         for f in m.factors:
-            require_probability(f, tol)
+            require_probability(f)
         return
     for a in m.atoms:
-        if a.w < -tol:
+        if a.w < -MASS_TOLERANCE:
             raise PreconditionError(f"probability measure expected: atom at {a.t} "
                                     f"has negative weight {a.w}")
     for seg, lo, hi, sgn in _sign_pieces(m):
-        if sgn < 0 and segment_mass(m.domain, seg, lo, hi)[0] < -tol:
+        if sgn < 0 and segment_mass(m.domain, seg, lo, hi)[0] < -MASS_TOLERANCE:
             raise PreconditionError("probability measure expected: density "
                                     f"goes negative inside [{seg.lower}, {seg.upper}]")
 
@@ -110,14 +102,14 @@ def is_determined(m: SignedMeasure) -> DeterminationVerdict:
 
     m shares mass with m~ when an atom and its inverse both carry
     positive weight (a self-inverse atom counts), when a positive density
-    piece meets the reflection of one over more than a rounded root's
-    width, or, on Rbox, when every factor does (Hellinger affinities
-    multiply, Kakutani 1948); no float norm could show a mass as small as
+    piece meets the reflection of one over an interval longer than the
+    widths within which its ends are known (see _reflection_overlap), or,
+    on Rbox, when every factor does (Hellinger affinities multiply,
+    Kakutani 1948); no float norm could show a mass as small as
     normal(200, 1) shares (about 1e-8700). The norm, reported off Rbox,
-    settles only a narrower overlap (a root met from both sides or a
-    support that short): shared mass when it misses 1 by more than the
-    input's mass slack plus its quadrature, 2 * MASS_TOLERANCE. A
-    "determined" verdict whose norm misses 1 by more is an internal fault.
+    decides nothing: a "determined" verdict whose norm misses 1 by more
+    than the input's mass slack plus its quadrature, 2 * MASS_TOLERANCE,
+    is an internal fault.
     """
     require_probability(m)
     norm, determined = _norm_and_verdict(m)
@@ -126,47 +118,49 @@ def is_determined(m: SignedMeasure) -> DeterminationVerdict:
 
 def _norm_and_verdict(m: SignedMeasure) -> tuple[float | None, bool]:
     """(norm of Im f, determined) for a probability measure m: the one
-    place a verdict is made, cross-checked against the norm (None on
-    Rbox, where each factor's verdict is cross-checked against its own)."""
+    place a verdict is made, by _reflection_overlap; the norm (None on
+    Rbox, where each factor is checked against its own) only checks it."""
     if m.factors:
         return None, any(_norm_and_verdict(f)[1] for f in m.factors)
     norm = total_variation(sym_anti_split(m).antisymmetric_part)
-    full = norm >= 1.0 - 2 * MASS_TOLERANCE
-    overlap = _reflection_overlap(m)
-    if overlap is False and not full:
+    determined = not _reflection_overlap(m)
+    if determined and not norm >= 1.0 - 2 * MASS_TOLERANCE:
         raise InternalCheckError(f"m shares no mass with its reflection, yet its norm "
                                  f"{norm!r} misses 1 by more than {2 * MASS_TOLERANCE:.1e}")
-    return norm, full if overlap is None else not overlap
+    return norm, determined
 
 
-def _reflection_overlap(m: SignedMeasure) -> bool | None:
-    """Whether m shares mass with its reflection; None when the only
-    overlap is narrower than a rounded root's width."""
+def _reflection_overlap(m: SignedMeasure) -> bool:
+    """Whether m shares mass with its reflection: an atom and its inverse
+    both carry positive weight, or an interval on which m's density is
+    surely positive (_positive_pieces) meets the mirror image of one."""
     weights = {a.t: a.w for a in m.atoms}
     if any(w > 0.0 and weights.get(negate_point(m.domain, t), 0.0) > 0.0
            for t, w in weights.items()):
         return True
     pieces = _positive_pieces(m)
     mirror = _KINDS[m.domain.kind].mirror
-    overlaps = [(max(lo, c), min(hi, d)) for lo, hi in pieces
-                for c, d in (mirror(*p) for p in pieces)]
-    wide = [math.isinf(b - a) or b - a > _OVERLAP_TOL * max(1.0, abs(a), abs(b))
-            for a, b in overlaps if a < b]
-    if any(wide):
-        return True
-    return None if wide else False
+    return any(max(lo, c) < min(hi, d) for lo, hi in pieces
+               for c, d in (mirror(*p) for p in pieces))
 
 
 def _positive_pieces(m: SignedMeasure) -> list[tuple[float, float]]:
-    """The sign +1 pieces of m's density, each cut to where its segment
-    can be nonzero: the whole segment if it has a polynomial part, else
-    the supports of its positive named terms (mirrored for reflected
-    ones), since a named segment may run past its families' supports."""
+    """The intervals on which m's density is surely positive: its sign +1
+    pieces, each moved in by _ROOT_TOL (1 + |t|) from an end t solved
+    inside its segment (a root; segment and support ends are exact) and
+    cut to where its segment can be nonzero: the whole segment if it has
+    a polynomial part, else the supports of its positive named terms
+    (mirrored for reflected ones), since a named segment may run past
+    its families' supports."""
     mirror = _KINDS[m.domain.kind].mirror
     out = []
     for seg, lo, hi, sgn in _sign_pieces(m):
         if sgn <= 0:
             continue
+        if lo != seg.lower:
+            lo += _ROOT_TOL * (1.0 + abs(lo))
+        if hi != seg.upper:
+            hi -= _ROOT_TOL * (1.0 + abs(hi))
         if any(seg.coeffs or ()):
             carriers = [(seg.lower, seg.upper)]
         else:
@@ -260,27 +254,27 @@ def companion(m: SignedMeasure, sigma="zero") -> CompanionResult:
 # reconstruction
 
 
-def reconstruct(eta: SignedMeasure, tolerance: float = MASS_TOLERANCE) -> SignedMeasure:
+def reconstruct(eta: SignedMeasure) -> SignedMeasure:
     """Recover the unique probability measure from its antisymmetric part.
 
-    eta must be antisymmetric with total variation 1 (within tolerance),
+    eta must be antisymmetric with total variation 1 (within MASS_TOLERANCE),
     the situation where Im f determines f; the measure is 2 * eta+.
     The result is validated: unit mass and a positive semidefinite Gram
     matrix on a small default grid.
     """
     if eta.domain.kind == "Rbox":
         raise UnsupportedDomainError("reconstruction is not defined on Rbox products")
-    require_antisymmetric(eta, tolerance)
+    require_antisymmetric(eta)
     norm = total_variation(eta)
-    if abs(norm - 1.0) > tolerance:
+    if abs(norm - 1.0) > MASS_TOLERANCE:
         raise PreconditionError(
-            f"reconstruction needs ||eta|| = 1 within {tolerance:.1e}, got {norm!r}; "
+            f"reconstruction needs ||eta|| = 1 within {MASS_TOLERANCE:.1e}, got {norm!r}; "
             "below 1 the imaginary part admits many measures (see companion)")
     mu = scale(hahn_jordan(eta).positive_part, 2.0)
     gap = abs(mass(mu) - 1.0)
     if gap > 1e-7:
         raise InternalCheckError(f"reconstructed mass misses 1 by {gap:.3e}")
-    report = psd_check(mu, default_dual_grid(mu.domain, 8), 1e-8)
+    report = psd_check(mu, default_dual_grid(mu.domain, 8))
     if not report.is_psd:
         raise InternalCheckError(
             f"reconstructed transform fails positive semidefiniteness: "

@@ -29,6 +29,8 @@ from imchar.measures import SignedMeasure, build_measure
 _GRID_STEPS = 64
 #: witnesses must move some coordinate by more than this to count
 _WITNESS_GAP = 1e-9
+#: a vector is unique when its antisymmetric mass reaches 1 - UNIQUENESS_TOLERANCE
+UNIQUENESS_TOLERANCE = 1e-12
 #: character tables kept, one per order (an agreement run over
 #: n = 2..64 keeps all of its own)
 _CHARACTER_ORDERS = 64
@@ -110,13 +112,14 @@ def _antisymmetric_part(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v - v[(-np.arange(n)) % n])
 
 
-def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12) -> UniquenessReport:
+def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
     """Decide whether Im dft(v) determines the probability vector v.
 
     Closed form: unique iff the antisymmetric mass sum |a_k| reaches
-    1 - tol. In the non-unique case two or three explicit witnesses
-    are returned: probability vectors distinct from v whose transforms
-    share the imaginary part (verified here to 1e-12 before returning).
+    1 - UNIQUENESS_TOLERANCE. In the non-unique case two or three
+    explicit witnesses are returned: probability vectors distinct from v
+    whose transforms share the imaginary part (verified here to 1e-12
+    before returning).
 
     For n <= 8 the decision is rerun by searching symmetric completions
     on a slack grid of step 1/64, and InternalCheckError is raised if
@@ -138,7 +141,7 @@ def brute_uniqueness(v: FiniteMeasureVector, tol: float = 1e-12) -> UniquenessRe
 
     a = _antisymmetric_part(arr)
     anti_mass = math.fsum(abs(x) for x in a)
-    unique = anti_mass >= 1.0 - tol
+    unique = anti_mass >= 1.0 - UNIQUENESS_TOLERANCE
     slack = 1.0 - anti_mass
 
     witnesses: list[FiniteMeasureVector] = []
@@ -198,7 +201,7 @@ def _grid_uniqueness(arr, a, slack, n) -> bool | None:
     grid without finding one confirms uniqueness. Returns None in the
     gray band where the grid cannot tell candidates and arr apart.
     """
-    if slack <= 1e-12:
+    if slack <= UNIQUENESS_TOLERANCE:
         # sigma is forced to |a| pointwise: the only candidate is arr itself
         return True
     if slack < 1e-6:

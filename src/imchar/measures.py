@@ -21,9 +21,9 @@ One function, segment_mass, integrates a segment against e^{ixt}: at
 x = 0 it gives masses and total variations, elsewhere transforms. A
 transform reads each named pdf through a table (_PdfTable) that QUADPACK
 calls directly, so a node already read costs one C dict lookup. The
-tables of finite pieces are kept on the measure (charfn passes them in),
-so every transform of one measure evaluates a node once; a grid
-integrates each pair of points +-x once and conjugates.
+tables of finite pieces are kept on the segment, so every transform of
+a segment evaluates a node once; a grid integrates each |x| once and
+conjugates for -x, the density being real.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ _WINDOW_SAMPLES = 256
 _CORE_PHASE = 2.0 ** 16
 _TAIL_STEP = 2.0 ** 10
 _TAIL_STEPS = 6
-#: brentq's xtol and rtol: a root lands within 5e-13 (1 + |t|) <= 1e-12 max(1, |t|)
+#: brentq's xtol and rtol: a root lands within _ROOT_TOL (1 + |t|)
 _ROOT_TOL = 5e-13
+#: mass slack of a probability measure input, and of an antisymmetric one
+MASS_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
                     xs, tables: dict) -> list:
     """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d].
 
-    One (value, error, warned) triple per dual point x of xs. A family
+    One (value, error, warned) triple per dual point x >= 0 of xs. A family
     with a window is integrated over the window only, and the mass it
     leaves out joins every error. So does the pdf's own rounding where
     the family bounds it: relative to values whose integral over [c, d]
@@ -372,11 +374,9 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     Transforms read the pdf through _PdfTable, so each quadrature node is
     evaluated once per table: the cos and sin integrals, the pieces and
     the fallback route share it. Finite pieces read the table that
-    ``tables`` holds under (name, params), kept by the caller across
+    ``tables`` holds under (name, params), kept on the segment across
     calls; nodes are in the family's own orientation, so a term and its
     reflection share it. Infinite pieces read a fresh table at each x.
-    A point whose exact negation came earlier in xs is not integrated
-    again: it takes that point's conjugate value, error and flag.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -396,19 +396,12 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     # boundary: quadrature rules assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
-    out, done = [], {}
+    out = []
     for x in xs:
         if x == 0.0:
             r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
             out.append((nt.weight * r.value, abs(nt.weight) * r.error + fixed_err,
                         r.warned))
-            continue
-        if -x in done:
-            # integrate_trig at -x recurses to +x and negates the sin part,
-            # so this is the value it would give, up to the sign of a zero
-            # part, which charfn._transform's sums (started at +0) erase
-            v, e, w = done[-x]
-            out.append((v.conjugate(), e, w))
             continue
         # QAWO reuses its nodes at every x of a finite piece; QAWF's nodes
         # follow its cycle pi/|x|, so a table kept across x would only grow
@@ -424,9 +417,8 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
-        done[x] = (nt.weight * val, abs(nt.weight) * (re.error + im.error) + fixed_err,
-                   re.warned or im.warned)
-        out.append(done[x])
+        out.append((nt.weight * val, abs(nt.weight) * (re.error + im.error) + fixed_err,
+                    re.warned or im.warned))
     return out
 
 
@@ -478,39 +470,43 @@ def _piecewise(integrate, cuts) -> QuadResult:
                       sum(r.error for r in rs), any(r.warned for r in rs))
 
 
-def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float,
-                 x=0.0, tables: dict | None = None):
+def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float, x=0.0):
     """Integral of e^{ixt} times one segment's density over [c, d] (caller clips).
 
     Returns (value, error, warned) like ``charfn.eval_cf_with_error``.
     At the default x = 0 the value is the real signed mass; otherwise
     it is the segment's transform at x, a complex number. x may also be
     a list, tuple or 1-D array of dual points, a grid: the result is
-    then a list with one such triple per point, and a pair of points
-    +-x is integrated once. Each named term reads its pdf on finite
-    pieces through a table in ``tables``, keyed by (name, params), that
-    evaluates each quadrature node once; pass the same dict again (charfn
-    keeps one on the measure) and later calls read those values too.
+    then a list with one such triple per point. Each distinct |x| is
+    integrated once, polynomial and named parts alike; a negative point
+    takes the conjugate plus 0.0 (so a zero part has the sign direct
+    evaluation gives), with the same error and flag. Named terms read
+    their pdfs on finite pieces through tables kept on the segment, so
+    later transforms of it read the nodes this one evaluated.
     """
     if isinstance(x, np.ndarray) and x.ndim == 1:
         x = x.tolist()
     grid = isinstance(x, (list, tuple))
     xs = x if grid else (x,)
-    tables = {} if tables is None else tables
-    vals, errs, warned = [0.0] * len(xs), [0.0] * len(xs), [False] * len(xs)
+    keys = [abs(xv) for xv in xs]
+    ax = list(dict.fromkeys(keys))
+    vals, errs, warned = [0.0] * len(ax), [0.0] * len(ax), [False] * len(ax)
     if c < d:
         if seg.coeffs:
-            for i, xv in enumerate(xs):
+            for i, xv in enumerate(ax):
                 pv, errs[i] = _poly_integral(seg.coeffs, c, d, xv)
                 vals[i] += pv
+        tables = _memo(seg, "_pdf_tables_memo", lambda seg: {})
         for nt in seg.named:
-            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, xs, tables)):
+            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, ax, tables)):
                 vals[i] += v
                 # v's product with the weight rounds by _ULP |v|, and its
                 # addition by _ULP of the new sum
                 errs[i] += e + _ULP * (abs(v) + abs(vals[i]))
                 warned[i] = warned[i] or w
-    out = list(zip(vals, errs, warned))
+    at = dict(zip(ax, zip(vals, errs, warned)))
+    out = [(at[k][0].conjugate() + 0.0, *at[k][1:]) if xv < 0.0 else at[k]
+           for xv, k in zip(xs, keys)]
     return out if grid else out[0]
 
 
@@ -522,10 +518,12 @@ def sign_subsegments(domain: GroupDomain, seg: DensitySegment) -> list[tuple[flo
     """Split one segment into maximal single-signed pieces.
 
     Returns (lo, hi, sign) triples covering [seg.lower, seg.upper] in
-    order, sign in {-1, 0, +1}. Polynomial-only segments use exact
-    roots; anything involving named terms is sampled and the isolated
-    sign changes are solved to within 1e-12 max(1, |t|). Pieces where
-    the density vanishes identically come back with sign 0.
+    order, sign in {-1, 0, +1}. Polynomial-only segments cut at their
+    real roots; anything involving named terms is sampled and the sign
+    changes are solved to within _ROOT_TOL (1 + |t|), the width to which
+    the reflection-overlap test takes any interior cut as known (the
+    segment's ends are exact). Pieces where the density vanishes
+    identically come back with sign 0.
     """
     signs = {1 if nt.weight > 0 else -1 for nt in seg.named}
     if not seg.coeffs and len(signs) == 1:
@@ -595,9 +593,9 @@ def _fuse_same_sign(pieces):
     return out
 
 
-def _memo(m: SignedMeasure, key: str, build):
-    """build(m), computed once per measure and kept on it under key, since
-    measures are immutable."""
+def _memo(m, key: str, build):
+    """build(m), computed once per measure (or segment) and kept on it
+    under key, since measures and segments are immutable."""
     value = m.__dict__.get(key)
     if value is None:
         value = build(m)

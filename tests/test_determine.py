@@ -1,5 +1,6 @@
 """Norm of the imaginary part, verdicts, companions, reconstruction."""
 
+import inspect
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
+import imchar
 from imchar import decompose, determine, finite, measures
 from imchar.catalog import criterion_set, make_measure, spec
 from imchar.charfn import eval_cf, im_cf
@@ -161,6 +163,35 @@ def test_a_product_of_short_symmetric_factors_is_not_determined():
     assert not is_determined(product_measure([short, short])).determined
     pareto = make_measure(spec("pareto"))
     assert is_determined(product_measure([short, pareto])).determined
+
+
+# real overlaps far shorter than a rounded root's width, each bounded by
+# segment ends, which are exact: the norm misses 1 by less than its slack
+_TINY = [("uniform", "a=-1e-13,b=1"), ("triangular", "a=-1e-13,b=1"),
+         ("uniform_arc", f"a={math.pi - 1e-13!r},b=4.0")]
+
+
+@pytest.mark.parametrize("name,params", _TINY)
+def test_an_overlap_between_exact_ends_is_shared_mass(capsys, name, params):
+    assert main(["classify", "--dist", name, "--params", params]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agrees"] is True and out["determined"] is False
+    assert main(["companion", "--dist", name, "--params", params]) == 0
+
+
+def test_the_norm_decides_nothing(monkeypatch):
+    monkeypatch.setattr(determine, "total_variation", lambda m: 1.0)
+    short = make_measure(spec("uniform", a=-1e-12, b=1e-12))
+    assert not is_determined(short).determined
+
+
+def test_an_overlap_within_a_root_width_is_not_shared_mass():
+    # t + r is positive on [-r, 1]: its mirror [-1, r] meets it on
+    # [-r, r], an overlap of a root known only to _ROOT_TOL (1 + r)
+    def overlap(r):
+        return determine._reflection_overlap(poly_density_measure(REAL_LINE, -1.0, 1.0, [r, 1.0]))
+    assert overlap(1e-13) is False
+    assert overlap(1e-11) is True
 
 
 def test_sigma_measures():
@@ -332,3 +363,11 @@ def test_decide_on_zn_builds_no_measure(monkeypatch):
     verdict = is_determined(m)
     assert builds == []
     assert verdict.norm_im == brute_uniqueness(v).anti_mass
+
+
+def test_no_public_function_takes_a_tolerance():
+    # each bound is a named module constant, not a per-call knob
+    for name in imchar.__all__:
+        obj = getattr(imchar, name)
+        if inspect.isfunction(obj):
+            assert not {"tol", "tolerance"} & set(inspect.signature(obj).parameters), name

@@ -1,4 +1,4 @@
-"""Transform grids: pdf tables kept on the measure, +-x pairs, per-point bounds, tiny dual points."""
+"""Transform grids: pdf tables kept on the segment, +-x pairs, per-point bounds, tiny dual points."""
 
 import dataclasses
 import json
@@ -247,6 +247,19 @@ def test_negated_points_are_integrated_once(monkeypatch, name):
     once = len(calls)
     sample_cf(reflect(make_measure(spec(name))), [-15.0, 0.5, -0.0, -3.0, 15.0, 3.0, -0.5])
     assert once and len(calls) == 2 * once
+
+
+def test_polynomial_part_is_integrated_once_per_magnitude(monkeypatch):
+    calls = []
+    monkeypatch.setattr(imchar.measures, "_poly_integral",
+                        lambda *args: calls.append(args[3]) or _poly_integral(*args))
+    seg = poly_density_measure(REAL_LINE, -1.0, 2.0, [0.5, 0.1, -0.05]).density[0]
+    grid = [-2.5, 0.75, 2.5, -0.0, 0.0, -0.75, 4.0, 2.5]
+    out = segment_mass(REAL_LINE, seg, seg.lower, seg.upper, grid)
+    assert calls == [2.5, 0.75, 0.0, 4.0]
+    for x, (v, e, w) in zip(grid, out):
+        v0, e0 = _poly_integral(seg.coeffs, seg.lower, seg.upper, x)
+        assert _bits(complex(v)) == _bits(complex(0.0 + v0)) and e == e0 and not w
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_STRATEGIES))
