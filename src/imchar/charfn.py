@@ -58,8 +58,9 @@ def _transform(m: SignedMeasure, points) -> tuple[list, list, list]:
 
     Density segments are the outer loop and the dual points the inner
     one, so each segment integral sees the whole grid; segment_mass
-    integrates each |x| once and keeps the pdf tables. The bound covers
-    the atom sum too: each phase is off by at most _ULP |x| (|t| + 2 pi),
+    integrates each |x| once, and the named terms keep their pdf tables
+    and piece integrals for every measure derived from them. The bound
+    covers the atom sum too: each phase is off by at most _ULP |x| (|t| + 2 pi),
     the 2 pi for a location mirrored on T, each product and each addition
     rounds by _ULP of the atoms' total |weight|, and each segment added to
     a nonzero partial sum rounds by _ULP of the new sum.

@@ -9,8 +9,12 @@ is consulted. NaN and infinities are rejected rather than emitted.
 from __future__ import annotations
 
 import math
+import re
 
 from imchar.errors import ParameterError
+
+#: a character that a JSON string must escape
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
 
 
 def format_float(x: float) -> str:
@@ -24,6 +28,8 @@ def format_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
+    if not _NEEDS_ESCAPE.search(s):
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

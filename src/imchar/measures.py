@@ -20,9 +20,12 @@ formula, so they agree bit for bit.
 One function, segment_mass, integrates a segment against e^{ixt}: at
 x = 0 it gives masses and total variations, elsewhere transforms. A
 transform reads each named pdf through a table (_PdfTable) that QUADPACK
-calls directly, so a node already read costs one C dict lookup. The
-tables of finite pieces are kept on the segment, so every transform of
-a segment evaluates a node once; a grid integrates each |x| once and
+calls directly, so a node already read costs one C dict lookup. Each
+named term carries a store (_TermStore) that every term derived from
+it shares: reflections, rescalings, sums, even and odd parts, Jordan
+parts and companions. It holds the table of the finite pieces and the
+integral of each piece, so a lineage of measures evaluates a node once
+and integrates a piece once; a grid integrates each |x| once and
 conjugates for -x, the density being real.
 """
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -65,18 +68,37 @@ class Atom:
     w: float
 
 
+class _TermStore:
+    """What a lineage of one named family and parameters has integrated.
+
+    ``table`` is the _PdfTable of its finite pieces, made on the first
+    transform; ``pieces`` holds each piece's unweighted QuadResult by
+    (a, b, x, "cos" or "sin"), the ends in the family's own orientation
+    and x = 0 for a mass. QUADPACK is deterministic, so a stored piece
+    has the bits a new integration would give.
+    """
+
+    __slots__ = ("table", "pieces")
+
+    def __init__(self):
+        self.table, self.pieces = None, {}
+
+
 @dataclass(frozen=True)
 class NamedTerm:
     """One weighted named-family density term, possibly reflected.
 
     ``weight * pdf(t)`` when not reflected, ``weight * pdf(-t)`` (with
-    the circle's ``2*pi - t`` reflection on T) when reflected.
+    the circle's ``2*pi - t`` reflection on T) when reflected. ``store``
+    is new for a new term and passed on to every term derived from it;
+    it takes no part in equality or hashing.
     """
 
     name: str
     params: tuple[tuple[str, float], ...]
     weight: float = 1.0
     reflected: bool = False
+    store: _TermStore = field(default_factory=_TermStore, compare=False, repr=False)
 
     @property
     def params_dict(self) -> dict:
@@ -87,6 +109,7 @@ class NamedTerm:
 
 
 def _named(name: str, params: dict, weight: float = 1.0, reflected: bool = False) -> NamedTerm:
+    """A new term, the root of a lineage with a store of its own."""
     fam = densities.family(name)
     fam.validate(params)
     items = tuple(sorted((str(k), float(v)) for k, v in params.items()))
@@ -206,7 +229,8 @@ def _combine_piece(a, b, covering) -> DensitySegment | None:
     for key, proto in protos.items():
         w = math.fsum(nt.weight for s in covering for nt in s.named if nt.key() == key)
         if w != 0.0:
-            named_terms.append(NamedTerm(proto.name, proto.params, w, proto.reflected))
+            named_terms.append(NamedTerm(proto.name, proto.params, w, proto.reflected,
+                                         proto.store))
     named_terms.sort(key=lambda nt: (nt.name, nt.params, nt.reflected))
     if not coeffs and not named_terms:
         return None
@@ -360,8 +384,7 @@ class _PdfTable(dict):
         return v
 
 
-def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
-                    xs, tables: dict) -> list:
+def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float, xs) -> list:
     """weight * integral of the (possibly reflected) pdf * e^{ixt} over [c, d].
 
     One (value, error, warned) triple per dual point x >= 0 of xs. A family
@@ -371,12 +394,14 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     is at most 1. A family with a core also splits its transforms, not
     its masses, at the core's ends.
 
-    Transforms read the pdf through _PdfTable, so each quadrature node is
-    evaluated once per table: the cos and sin integrals, the pieces and
-    the fallback route share it. Finite pieces read the table that
-    ``tables`` holds under (name, params), kept on the segment across
-    calls; nodes are in the family's own orientation, so a term and its
-    reflection share it. Infinite pieces read a fresh table at each x.
+    Each piece is integrated once per lineage: its unweighted result is
+    kept in the term's store under its ends (in the family's own
+    orientation, so a term and its reflection share it), x and cos or
+    sin, and the weight, the window's tail and the rounding bound are
+    applied to it afresh. Transforms read the pdf through _PdfTable, so
+    each quadrature node is evaluated once per table: the cos and sin
+    integrals, the pieces and the fallback route share it. Finite pieces
+    read the store's table; infinite pieces read a fresh one at each x.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -396,24 +421,26 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float,
     # boundary: quadrature rules assume a smooth integrand inside each piece
     cuts = [lo] + [k for k in fam.kinks(params) if lo < k < hi] + [hi]
     core = [k for k in fam.core(params) if lo < k < hi] if fam.core else []
+    store = nt.store
     out = []
     for x in xs:
         if x == 0.0:
-            r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts)
+            r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts, store.pieces, x, "cos")
             out.append((nt.weight * r.value, abs(nt.weight) * r.error + fixed_err,
                         r.warned))
             continue
         # QAWO reuses its nodes at every x of a finite piece; QAWF's nodes
         # follow its cycle pi/|x|, so a table kept across x would only grow
-        finite = tables.get((nt.name, nt.params))
-        if finite is None:
-            finite = tables[nt.name, nt.params] = _PdfTable(fam.pdf, params)
+        if store.table is None:
+            store.table = _PdfTable(fam.pdf, params)
         infinite = _PdfTable(fam.pdf, params)
-        read = lambda a, b: (finite if math.isfinite(a) and math.isfinite(b)
+        read = lambda a, b: (store.table if math.isfinite(a) and math.isfinite(b)
                              else infinite).__getitem__
         xcuts = _transform_cuts(cuts, core, abs(x))
-        re = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "cos"), xcuts)
-        im = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "sin"), xcuts)
+        re = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "cos"),
+                        xcuts, store.pieces, x, "cos")
+        im = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "sin"),
+                        xcuts, store.pieces, x, "sin")
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
@@ -459,13 +486,19 @@ def _transform_cuts(cuts: list, core: list, ax: float) -> list:
     return [cuts[0], *left, *cuts[1:-1], *right, cuts[-1]]
 
 
-def _piecewise(integrate, cuts) -> QuadResult:
-    """integrate(a, b) summed over consecutive cuts.
+def _piecewise(integrate, cuts, pieces: dict, x: float, trig: str) -> QuadResult:
+    """integrate(a, b) summed over consecutive cuts, each piece read from
+    pieces under (a, b, x, trig) when it is there and kept there when not.
 
     The sum starts from the first piece's value, so a single piece keeps
     its bits (a signed zero included).
     """
-    rs = [integrate(a, b) for a, b in zip(cuts, cuts[1:])]
+    rs = []
+    for a, b in zip(cuts, cuts[1:]):
+        r = pieces.get((a, b, x, trig))
+        if r is None:
+            r = pieces[a, b, x, trig] = integrate(a, b)
+        rs.append(r)
     return QuadResult(sum((r.value for r in rs[1:]), rs[0].value),
                       sum(r.error for r in rs), any(r.warned for r in rs))
 
@@ -480,9 +513,9 @@ def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float, x
     then a list with one such triple per point. Each distinct |x| is
     integrated once, polynomial and named parts alike; a negative point
     takes the conjugate plus 0.0 (so a zero part has the sign direct
-    evaluation gives), with the same error and flag. Named terms read
-    their pdfs on finite pieces through tables kept on the segment, so
-    later transforms of it read the nodes this one evaluated.
+    evaluation gives), with the same error and flag. Named terms keep
+    their pieces' integrals and pdf tables in their stores, so a later
+    call on any measure of the same lineage integrates no piece twice.
     """
     if isinstance(x, np.ndarray) and x.ndim == 1:
         x = x.tolist()
@@ -496,9 +529,8 @@ def segment_mass(domain: GroupDomain, seg: DensitySegment, c: float, d: float, x
             for i, xv in enumerate(ax):
                 pv, errs[i] = _poly_integral(seg.coeffs, c, d, xv)
                 vals[i] += pv
-        tables = _memo(seg, "_pdf_tables_memo", lambda seg: {})
         for nt in seg.named:
-            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, ax, tables)):
+            for i, (v, e, w) in enumerate(_named_integral(domain, nt, c, d, ax)):
                 vals[i] += v
                 # v's product with the weight rounds by _ULP |v|, and its
                 # addition by _ULP of the new sum
@@ -594,8 +626,8 @@ def _fuse_same_sign(pieces):
 
 
 def _memo(m, key: str, build):
-    """build(m), computed once per measure (or segment) and kept on it
-    under key, since measures and segments are immutable."""
+    """build(m), computed once per measure and kept on it under key,
+    since measures are immutable."""
     value = m.__dict__.get(key)
     if value is None:
         value = build(m)
@@ -675,7 +707,7 @@ def _reflected_segments(m: SignedMeasure) -> list[DensitySegment]:
         coeffs = None
         if s.coeffs:
             coeffs = tuple((c if i % 2 == 0 else -c) for i, c in enumerate(s.coeffs))
-        named = tuple(NamedTerm(nt.name, nt.params, nt.weight, not nt.reflected)
+        named = tuple(NamedTerm(nt.name, nt.params, nt.weight, not nt.reflected, nt.store)
                       for nt in s.named)
         segs.append(DensitySegment(lo, hi, coeffs, named))
     return segs
@@ -683,7 +715,7 @@ def _reflected_segments(m: SignedMeasure) -> list[DensitySegment]:
 
 def _scaled_segment(s: DensitySegment, c: float) -> DensitySegment:
     coeffs = tuple(c * x for x in s.coeffs) if s.coeffs else None
-    named = tuple(NamedTerm(nt.name, nt.params, c * nt.weight, nt.reflected)
+    named = tuple(NamedTerm(nt.name, nt.params, c * nt.weight, nt.reflected, nt.store)
                   for nt in s.named)
     return DensitySegment(s.lower, s.upper, coeffs, named)
 

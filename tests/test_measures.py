@@ -5,15 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from imchar.catalog import make_measure, spec
+from imchar.charfn import default_dual_grid, sample_cf
+from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
+from imchar.determine import companion, is_determined
 from imchar.domains import (CIRCLE, INTEGERS, REAL_LINE, BorelSet, cyclic,
                             real_box)
 from imchar.errors import DomainMismatchError, ParameterError
-from imchar.measures import (DensitySegment, add, build_measure, density_value,
+from imchar.jsonio import dumps
+from imchar.measures import (DensitySegment, _named, add, build_measure, density_value,
                              from_atoms, mass, measure_of,
                              named_density_measure, point_mass,
                              poly_density_measure, product_measure, reflect,
                              scale, segment_mass, sign_subsegments, subtract,
                              total_variation, zero_measure)
+from imchar.quadrature import integrate_fn, integrate_trig
+from imchar.wire import dumps_measure, loads_measure
 
 
 def test_atom_canonicalization():
@@ -219,3 +226,96 @@ def test_laplace_mass_off_center_within_bound():
     v, err, warned = segment_mass(REAL_LINE, seg, seg.lower, seg.upper)
     assert abs(v - 1.0) <= err
     assert not warned
+
+
+# ---------------------------------------------------------------------------
+# the store of a named term's lineage
+
+
+def _record_quadratures(monkeypatch):
+    """Patch the measures module's quadratures to log (a, b, x, trig)."""
+    calls = []
+
+    def fn(f, a, b):
+        calls.append((a, b, 0.0, "cos"))
+        return integrate_fn(f, a, b)
+
+    def trig(f, a, b, omega, kind):
+        calls.append((a, b, omega, kind))
+        return integrate_trig(f, a, b, omega, kind)
+
+    monkeypatch.setattr("imchar.measures.integrate_fn", fn)
+    monkeypatch.setattr("imchar.measures.integrate_trig", trig)
+    return calls
+
+
+_LINEAGE_ROOTS = [
+    lambda: make_measure(spec("normal", mu=1.0, sigma=1.0)),
+    lambda: make_measure(spec("laplace", mu=0.7, b=1.3)),
+    lambda: reflect(make_measure(spec("gamma", k=2.0, theta=1.0))),
+]
+
+
+def _decide_steps(fresh):
+    """The decide path, each step on the measure fresh() returns."""
+    verdict = dumps(is_determined(fresh()).to_obj())
+    split = sym_anti_split(fresh())
+    jp = hahn_jordan(sym_anti_split(fresh()).antisymmetric_part)
+    cert = v_set_certificate(sym_anti_split(fresh()).antisymmetric_part)
+    return (verdict, dumps_measure(split.symmetric_part), dumps_measure(split.antisymmetric_part),
+            dumps_measure(jp.positive_part), dumps_measure(jp.negative_part), cert.masses)
+
+
+@pytest.mark.parametrize("root", _LINEAGE_ROOTS, ids=["normal", "laplace", "reflected_gamma"])
+def test_each_piece_is_integrated_once_per_lineage(monkeypatch, root):
+    calls = _record_quadratures(monkeypatch)
+    m = root()
+    shared = _decide_steps(lambda: m)
+    # one family and parameters per lineage: a repeated piece is redone work
+    assert calls and len(set(calls)) == len(calls)
+    once = len(calls)
+    fresh = _decide_steps(root)
+    assert repr(fresh) == repr(shared)
+    assert len(calls) - once > once
+
+
+def test_lineages_share_no_store(monkeypatch):
+    calls = _record_quadratures(monkeypatch)
+    counts = []
+    for _ in range(2):
+        start = len(calls)
+        m = make_measure(spec("normal"))
+        v_set_certificate(sym_anti_split(m).antisymmetric_part)
+        counts.append(len(calls) - start)
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_a_filled_store_leaves_equality_alone():
+    m = make_measure(spec("normal"))
+    total_variation(m)
+    filled = m.density[0].named[0]
+    fresh = _named("normal", dict(spec("normal").params))
+    assert filled.store.pieces and not fresh.store.pieces
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert "store" not in repr(filled)
+    merged = build_measure(REAL_LINE, segments=[
+        DensitySegment(-math.inf, math.inf, None, (filled,)),
+        DensitySegment(-math.inf, math.inf, None, (fresh,))])
+    assert [nt.weight for seg in merged.density for nt in seg.named] == [2.0]
+
+
+def test_a_companion_reads_the_pieces_of_its_lineage(monkeypatch):
+    calls = _record_quadratures(monkeypatch)
+    m = make_measure(spec("cauchy", mu=3.2, gamma=0.64))
+    res = companion(m, "zero")
+    transforms = lambda: sum(x != 0.0 for _, _, x, _ in calls)
+    in_lineage = transforms()
+    grid = default_dual_grid(m.domain, 64)
+    del calls[:]
+    # the two 64-point checks of companion, on copies that start afresh
+    copies = [sample_cf(loads_measure(dumps_measure(mm)), grid) for mm in (m, res.companion)]
+    assert 0 < in_lineage < transforms()
+    for mm, fresh in zip((m, res.companion), copies):
+        kept = sample_cf(mm, grid)
+        assert kept.values.tobytes() == fresh.values.tobytes()
+        assert kept.errors.tobytes() == fresh.errors.tobytes()

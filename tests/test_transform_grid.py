@@ -1,4 +1,6 @@
-"""Transform grids: pdf tables kept on the segment, +-x pairs, per-point bounds, tiny dual points."""
+"""Transform grids: pdf tables and piece integrals kept on the named term and
+shared by every measure derived from it, +-x pairs, per-point bounds, tiny dual
+points."""
 
 import dataclasses
 import json
@@ -228,7 +230,7 @@ def test_wrapped_normal_grid_shares_one_table(monkeypatch):
 
 def test_kernel_once_per_node_across_calls_on_one_measure(monkeypatch):
     # every piece of normal(0, 1) is finite, so every node lands in the
-    # table the measure keeps
+    # table its term's store keeps
     m = named_density_measure(REAL_LINE, "normal", {"mu": 0.0, "sigma": 1.0})
     nodes = _count_pdf_calls(monkeypatch, "normal")
     for x in (0.5, 3.0, 15.0):

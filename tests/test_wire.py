@@ -1,11 +1,13 @@
 """Measure JSON codec: round trips, determinism, malformed input."""
 
+import json
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+from imchar import jsonio
 from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, cyclic
 from imchar.errors import FormatError
 from imchar.measures import (add, from_atoms, named_density_measure,
@@ -125,3 +127,34 @@ def test_readme_measure_document_loads():
     m = loads_measure(block)
     assert m.domain == REAL_LINE
     assert m.atoms and m.density
+
+
+def _escape_per_character(s):
+    """The writer's per-character string escape, kept as the oracle of the
+    plain-string shortcut."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def test_string_escape_matches_per_character_writer(monkeypatch):
+    strings = ["", "plain", "normal", 'a "quoted" word', "back\\slash", "\\", '"',
+               "tab\there", "line\nbreak", "\x00", "\x1f", "\x20", "\x7f", "é μ σ → ∞",
+               "mixed \"é\"\\\x01", "\U0001d53c[X]"]
+    strings += [chr(c) for c in range(0x80)]
+    for s in strings:
+        assert jsonio._escape(s) == _escape_per_character(s)
+    doc = {s: [s, {"k": s}] for s in strings}
+    fast = jsonio.dumps(doc)
+    monkeypatch.setattr(jsonio, "_escape", _escape_per_character)
+    assert fast == jsonio.dumps(doc)
+    assert json.loads(fast) == doc
