@@ -27,21 +27,17 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _escape_char(m) -> str:
+    ch = m.group()
+    if ch == '"':
+        return '\\"'
+    if ch == "\\":
+        return "\\\\"
+    return f"\\u{ord(ch):04x}"
+
+
 def _escape(s: str) -> str:
-    if not _NEEDS_ESCAPE.search(s):
-        return '"' + s + '"'
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(_escape_char, s) + '"'
 
 
 def dumps(obj) -> str:

@@ -73,9 +73,13 @@ class _TermStore:
 
     ``table`` is the _PdfTable of its finite pieces, made on the first
     transform; ``pieces`` holds each piece's unweighted QuadResult by
-    (a, b, x, "cos" or "sin"), the ends in the family's own orientation
-    and x = 0 for a mass. QUADPACK is deterministic, so a stored piece
-    has the bits a new integration would give.
+    its ends (a, b) in the family's own orientation for a mass, and by
+    (a, b, x, "cos" or "sin") for a transform. QUADPACK is deterministic,
+    so a stored piece has the bits a new integration would give.
+
+    Nothing is evicted: the store lives as long as any measure of the
+    lineage, and its memory grows with every distinct dual point asked
+    of the lineage (one result per piece per x, and the table's nodes).
     """
 
     __slots__ = ("table", "pieces")
@@ -396,12 +400,13 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float, xs) 
 
     Each piece is integrated once per lineage: its unweighted result is
     kept in the term's store under its ends (in the family's own
-    orientation, so a term and its reflection share it), x and cos or
-    sin, and the weight, the window's tail and the rounding bound are
-    applied to it afresh. Transforms read the pdf through _PdfTable, so
-    each quadrature node is evaluated once per table: the cos and sin
-    integrals, the pieces and the fallback route share it. Finite pieces
-    read the store's table; infinite pieces read a fresh one at each x.
+    orientation, so a term and its reflection share it), and for a
+    transform x and cos or sin; the weight, the window's tail and the
+    rounding bound are applied to it afresh. Transforms read the pdf
+    through _PdfTable, so each quadrature node is evaluated once per
+    table: the cos and sin integrals, the pieces and the fallback route
+    share it. Finite pieces read the store's table; infinite pieces read
+    a fresh one at each x.
     """
     fam = densities.family(nt.name)
     params = nt.params_dict
@@ -425,7 +430,7 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float, xs) 
     out = []
     for x in xs:
         if x == 0.0:
-            r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts, store.pieces, x, "cos")
+            r = _piecewise(lambda a, b: integrate_fn(pdf, a, b), cuts, store.pieces, ())
             out.append((nt.weight * r.value, abs(nt.weight) * r.error + fixed_err,
                         r.warned))
             continue
@@ -434,13 +439,12 @@ def _named_integral(domain: GroupDomain, nt: NamedTerm, c: float, d: float, xs) 
         if store.table is None:
             store.table = _PdfTable(fam.pdf, params)
         infinite = _PdfTable(fam.pdf, params)
-        read = lambda a, b: (store.table if math.isfinite(a) and math.isfinite(b)
-                             else infinite).__getitem__
+        trig = lambda a, b, x, kind: integrate_trig(
+            (store.table if math.isfinite(a) and math.isfinite(b) else infinite).__getitem__,
+            a, b, x, kind)
         xcuts = _transform_cuts(cuts, core, abs(x))
-        re = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "cos"),
-                        xcuts, store.pieces, x, "cos")
-        im = _piecewise(lambda a, b: integrate_trig(read(a, b), a, b, x, "sin"),
-                        xcuts, store.pieces, x, "sin")
+        re = _piecewise(trig, xcuts, store.pieces, (x, "cos"))
+        im = _piecewise(trig, xcuts, store.pieces, (x, "sin"))
         val = complex(re.value, im.value)
         if nt.reflected:
             val = val.conjugate()
@@ -486,18 +490,19 @@ def _transform_cuts(cuts: list, core: list, ax: float) -> list:
     return [cuts[0], *left, *cuts[1:-1], *right, cuts[-1]]
 
 
-def _piecewise(integrate, cuts, pieces: dict, x: float, trig: str) -> QuadResult:
-    """integrate(a, b) summed over consecutive cuts, each piece read from
-    pieces under (a, b, x, trig) when it is there and kept there when not.
+def _piecewise(integrate, cuts, pieces: dict, kind: tuple) -> QuadResult:
+    """integrate(a, b, *kind) summed over consecutive cuts, each piece read
+    from pieces under (a, b, *kind) when it is there and kept there when not.
 
     The sum starts from the first piece's value, so a single piece keeps
     its bits (a signed zero included).
     """
     rs = []
     for a, b in zip(cuts, cuts[1:]):
-        r = pieces.get((a, b, x, trig))
+        key = (a, b, *kind)
+        r = pieces.get(key)
         if r is None:
-            r = pieces[a, b, x, trig] = integrate(a, b)
+            r = pieces[key] = integrate(a, b, *kind)
         rs.append(r)
     return QuadResult(sum((r.value for r in rs[1:]), rs[0].value),
                       sum(r.error for r in rs), any(r.warned for r in rs))

@@ -131,7 +131,7 @@ def test_readme_measure_document_loads():
 
 def _escape_per_character(s):
     """The writer's per-character string escape, kept as the oracle of the
-    plain-string shortcut."""
+    one regex substitution that replaced it."""
     out = ['"']
     for ch in s:
         if ch == '"':
