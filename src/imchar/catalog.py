@@ -329,8 +329,9 @@ def _lattice(dist_of, shift_of=lambda p: 0):
     up to where its tail mass falls below _TAIL (_pmf_measure_tail).
     """
     def build(p) -> SignedMeasure:
-        # imported here: scipy.stats takes about a second to import and
-        # nothing else in the package needs it
+        # imported here: scipy.stats takes about a second to import (it
+        # loads scipy.special, scipy.integrate and scipy.optimize too) and
+        # only the lattice entries need it
         from scipy import stats
         dist, shift = dist_of(stats, p), shift_of(p)
         lo, hi = dist.support()

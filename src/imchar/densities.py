@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+import scipy
 
 from imchar.domains import TWO_PI
 from imchar.errors import ParameterError
@@ -130,12 +130,12 @@ def _cauchy_pdf(p, t):
 
 def _gamma_pdf(p, t):
     k, th = p["k"], p["theta"]
-    return np.exp((k - 1.0) * np.log(t) - t / th - special.gammaln(k) - k * math.log(th))
+    return np.exp((k - 1.0) * np.log(t) - t / th - scipy.special.gammaln(k) - k * math.log(th))
 
 
 def _chi2_pdf(p, t):
     n = p["n"]
-    return np.exp((0.5 * n - 1.0) * np.log(t) - 0.5 * t - special.gammaln(0.5 * n)
+    return np.exp((0.5 * n - 1.0) * np.log(t) - 0.5 * t - scipy.special.gammaln(0.5 * n)
                   - 0.5 * n * math.log(2.0))
 
 
@@ -156,7 +156,7 @@ def _pareto_pdf(p, t):
 
 def _beta_pdf(p, t):
     a, b = p["a"], p["b"]
-    return np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t) - special.betaln(a, b))
+    return np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t) - scipy.special.betaln(a, b))
 
 
 def _arcsine_pdf(p, t):
@@ -182,8 +182,10 @@ def _hyperexp_pdf(p, t):
 # the rounded ends, from the family's own distribution function.
 
 _SIDE_TAIL = 2.0 ** -62
-#: standard normal quantile of _SIDE_TAIL, negated (about 8.93)
-_NORMAL_Z = -float(special.ndtri(_SIDE_TAIL))
+#: standard normal quantile of _SIDE_TAIL, negated: the bits of
+#: -scipy.special.ndtri(_SIDE_TAIL), written out so that importing this
+#: module loads no scipy submodule (stdlib NormalDist gives ...268)
+_NORMAL_Z = 8.928025199898272
 #: exp(-_EXP_Z) = _SIDE_TAIL (about 42.98)
 _EXP_Z = -math.log(_SIDE_TAIL)
 
@@ -191,7 +193,7 @@ _EXP_Z = -math.log(_SIDE_TAIL)
 def _normal_window(p):
     mu, s = p["mu"], p["sigma"]
     lo, hi = mu - _NORMAL_Z * s, mu + _NORMAL_Z * s
-    return lo, hi, float(special.ndtr((lo - mu) / s) + special.ndtr((mu - hi) / s))
+    return lo, hi, float(scipy.special.ndtr((lo - mu) / s) + scipy.special.ndtr((mu - hi) / s))
 
 
 def _laplace_window(p):
@@ -202,10 +204,10 @@ def _laplace_window(p):
 
 def _gamma_window(k: float, scale: float, power: float = 1.0):
     """Window of scale * g**power for g ~ Gamma(k, 1)."""
-    lo = scale * float(special.gammaincinv(k, _SIDE_TAIL)) ** power
-    hi = scale * float(special.gammainccinv(k, _SIDE_TAIL)) ** power
+    lo = scale * float(scipy.special.gammaincinv(k, _SIDE_TAIL)) ** power
+    hi = scale * float(scipy.special.gammainccinv(k, _SIDE_TAIL)) ** power
     g = lambda t: (t / scale) ** (1.0 / power)
-    return lo, hi, float(special.gammainc(k, g(lo)) + special.gammaincc(k, g(hi)))
+    return lo, hi, float(scipy.special.gammainc(k, g(lo)) + scipy.special.gammaincc(k, g(hi)))
 
 
 # -- rounding -----------------------------------------------------------------
@@ -231,7 +233,7 @@ def _gamma_rounding(k: float, scale: float, lo: float, hi: float) -> float:
     estimate.
     """
     log_t = max(abs(math.log(lo)) if lo > 0.0 else _LOG_TINY, abs(math.log(hi)))
-    size = (abs(k - 1.0) * log_t + hi / scale + abs(float(special.gammaln(k)))
+    size = (abs(k - 1.0) * log_t + hi / scale + abs(float(scipy.special.gammaln(k)))
             + abs(k * math.log(scale)))
     return _ULP * (6.0 * size + 1.0)
 

@@ -2,9 +2,11 @@
 
 Everything on Z_n is a length-n weight vector, the transform is a
 plain character sum, and the determination question has a closed form:
-with a_k = (v_k - v_{n-k mod n}) / 2 the imaginary part pins the vector
-down exactly when sum |a_k| = 1. The whole construction is cheap
-enough to serve as an independent oracle for the measure pipeline.
+the imaginary part pins a probability vector v down exactly when no
+residue k carries mass together with its inverse -k (k = -k included),
+which is to say when a_k = (v_k - v_{n-k mod n}) / 2 has sum |a_k| = 1.
+The whole construction is cheap enough to serve as an independent
+oracle for the measure pipeline.
 The measure path forms its odd part by the same formula, pairing each
 atom with its inverse and halving one rounded difference, and both
 reduce with exactly rounded summation, so agreement runs can use
@@ -29,8 +31,6 @@ from imchar.measures import SignedMeasure, build_measure
 _GRID_STEPS = 64
 #: witnesses must move some coordinate by more than this to count
 _WITNESS_GAP = 1e-9
-#: a vector is unique when its antisymmetric mass reaches 1 - UNIQUENESS_TOLERANCE
-UNIQUENESS_TOLERANCE = 1e-12
 #: character tables kept, one per order (an agreement run over
 #: n = 2..64 keeps all of its own)
 _CHARACTER_ORDERS = 64
@@ -107,25 +107,25 @@ class UniquenessReport:
     witnesses: tuple[FiniteMeasureVector, ...]
 
 
-def _antisymmetric_part(v: np.ndarray) -> np.ndarray:
-    n = len(v)
-    return 0.5 * (v - v[(-np.arange(n)) % n])
-
-
 def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
     """Decide whether Im dft(v) determines the probability vector v.
 
-    Closed form: unique iff the antisymmetric mass sum |a_k| reaches
-    1 - UNIQUENESS_TOLERANCE. In the non-unique case two or three
-    explicit witnesses are returned: probability vectors distinct from v
-    whose transforms share the imaginary part (verified here to 1e-12
-    before returning).
+    Support rule: unique iff no residue k has v_k > 0 and v_{-k} > 0
+    (k = -k included), the rule is_determined applies to atoms; no
+    tolerance decides. anti_mass, the antisymmetric mass sum |a_k|, is
+    reported: it falls short of 1 by the mass v shares with its
+    reflection, up to rounding. In the non-unique case up to three
+    explicit witnesses are returned: probability vectors distinct from
+    v whose transforms share the imaginary part (verified here to 1e-12
+    before returning). A witness must move some weight by more than
+    1e-9, so a vector whose shared mass is below that is reported not
+    unique with no witness.
 
-    For n <= 8 the decision is rerun by searching symmetric completions
-    on a slack grid of step 1/64, and InternalCheckError is raised if
-    the two routes ever disagree. The search is skipped in the gray band
-    0 < slack < 1e-6 where every grid candidate sits within the witness
-    gap of v itself.
+    For n <= 8 a non-unique decision with slack 1 - anti_mass of at
+    least 1e-6 is rerun by searching symmetric completions on a slack
+    grid of step 1/64, and InternalCheckError is raised if the two
+    routes disagree. Below 1e-6 every grid candidate sits within the
+    witness gap of v itself, so the search is skipped.
     """
     arr = v.as_array()
     n = v.order
@@ -139,9 +139,10 @@ def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
         # the answer is unique even though the antisymmetric mass is 0
         return UniquenessReport(True, 0.0, ())
 
-    a = _antisymmetric_part(arr)
+    inverse = arr[(-np.arange(n)) % n]
+    a = 0.5 * (arr - inverse)
     anti_mass = math.fsum(abs(x) for x in a)
-    unique = anti_mass >= 1.0 - UNIQUENESS_TOLERANCE
+    unique = not np.minimum(arr, inverse).max() > 0.0
     slack = 1.0 - anti_mass
 
     witnesses: list[FiniteMeasureVector] = []
@@ -159,7 +160,7 @@ def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
         grid_unique = _grid_uniqueness(arr, a, slack, n)
         if grid_unique is not None and grid_unique != unique:
             raise InternalCheckError(
-                f"oracle disagreement on n={n}: closed form says "
+                f"oracle disagreement on n={n}: support rule says "
                 f"{'unique' if unique else 'not unique'}, grid search disagrees")
 
     return UniquenessReport(unique, anti_mass, tuple(witnesses))
@@ -198,12 +199,10 @@ def _grid_uniqueness(arr, a, slack, n) -> bool | None:
     slack = 1 - sum|a| to hand out. Walking compositions of the slack
     in 1/64 steps over the symmetric orbit representatives, the first
     candidate differing from arr settles non-uniqueness; exhausting the
-    grid without finding one confirms uniqueness. Returns None in the
-    gray band where the grid cannot tell candidates and arr apart.
+    grid without finding one confirms uniqueness. Returns None for slack
+    below 1e-6, where the grid cannot tell candidates and arr apart and
+    the support rule decides alone.
     """
-    if slack <= UNIQUENESS_TOLERANCE:
-        # sigma is forced to |a| pointwise: the only candidate is arr itself
-        return True
     if slack < 1e-6:
         return None
     reps = list(range(0, n // 2 + 1))

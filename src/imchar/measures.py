@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
+import scipy
 
 from imchar import densities
 from imchar.densities import _ULP
@@ -613,7 +613,8 @@ def _sampled_subsegments(domain, seg) -> list[tuple[float, float, int]]:
     # each piece takes the sign of the run of samples it holds
     flips = np.flatnonzero(signs[live[1:]] != signs[live[:-1]])
     density = lambda t: float(segment_value(domain, seg, [t])[0])
-    roots = [brentq(density, ts[live[k]], ts[live[k + 1]], xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+    roots = [scipy.optimize.brentq(density, ts[live[k]], ts[live[k + 1]],
+                                   xtol=_ROOT_TOL, rtol=_ROOT_TOL)
              for k in flips]
     cuts = [lower, *roots, upper]
     run_signs = signs[live[np.concatenate(([0], flips + 1))]]

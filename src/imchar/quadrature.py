@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from imchar.errors import IntegrationError, QuadratureWarning
 
@@ -52,10 +52,10 @@ def _quad(fn, a, b, **kw):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            val, err = integrate.quad(fn, a, b, **kw)
+            val, err = scipy.integrate.quad(fn, a, b, **kw)
         except Exception as exc:  # pragma: no cover - defensive
             raise IntegrationError(f"quadrature failed on [{a}, {b}]: {exc}") from exc
-    noisy = any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
+    noisy = any(issubclass(w.category, scipy.integrate.IntegrationWarning) for w in caught)
     return val, err, noisy
 
 

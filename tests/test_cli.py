@@ -256,3 +256,48 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+#: scipy submodules that take most of a cold start; nothing on atoms,
+#: polynomials or the Z_n oracle needs them
+LAZY_SCIPY = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+
+
+def run_and_list_scipy(argv, cwd):
+    """The CLI in a fresh interpreter; its exit code and the LAZY_SCIPY
+    modules loaded when it returns."""
+    src = os.path.dirname(os.path.dirname(imchar.__file__))
+    code = ("import json, sys\n"
+            "from imchar.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"loaded = [m for m in {LAZY_SCIPY!r} if m in sys.modules]\n"
+            "print(json.dumps(loaded), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--dist", "uniform"),
+    ("classify", "--dist", "triangular"),
+    ("classify", "--dist", "uniform_arc"),
+    ("classify", "--measure", "atoms.json"),
+    ("cf-grid", "--dist", "uniform"),
+    ("oracle", "--n", "8", "--trials", "20"),
+])
+def test_atoms_polynomials_and_the_oracle_load_no_scipy_submodule(argv, tmp_path):
+    doc = {"domain": {"kind": "R"},
+           "atoms": [{"t": 1.0, "w": 0.75}, {"t": -2.0, "w": 0.25}],
+           "density": []}
+    (tmp_path / "atoms.json").write_text(json.dumps(doc))
+    assert run_and_list_scipy(argv, tmp_path) == (0, [])
+
+
+@pytest.mark.parametrize("dist,loads", [
+    ("normal", ["scipy.special", "scipy.integrate", "scipy.optimize"]),
+    ("poisson", ["scipy.special", "scipy.stats"]),
+])
+def test_named_and_lattice_entries_load_scipy_on_first_use(dist, loads, tmp_path):
+    code, loaded = run_and_list_scipy(("classify", "--dist", dist), tmp_path)
+    assert code == 0 and set(loads) <= set(loaded)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from imchar import densities
 from imchar.densities import family, family_names
 from imchar.errors import ParameterError
 from imchar.quadrature import integrate_fn
@@ -179,3 +181,8 @@ def test_circle_families_evaluate_at_both_ends(name, params):
     ends = [0.0, 2.0 * math.pi]
     assert all(pdf(params, t) > 0.0 for t in ends)
     assert np.all(pdf(params, np.array(ends)) > 0.0)
+
+
+def test_normal_window_quantile_is_scipys_to_the_bit():
+    # written as a literal so that importing densities loads no scipy.special
+    assert densities._NORMAL_Z.hex() == (-float(scipy.special.ndtri(densities._SIDE_TAIL))).hex()

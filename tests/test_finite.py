@@ -7,6 +7,7 @@ import pytest
 
 from imchar import finite
 from imchar.charfn import eval_cf
+from imchar.determine import is_determined
 from imchar.domains import cyclic
 from imchar.errors import ParameterError, PreconditionError
 from imchar.finite import (FiniteMeasureVector, brute_uniqueness, dft,
@@ -42,6 +43,20 @@ def test_unique_vector():
     report = brute_uniqueness(FiniteMeasureVector.from_array([0.0, 0.5, 0.5, 0.0, 0.0]))
     assert report.unique
     assert report.anti_mass == pytest.approx(1.0, abs=1e-15)
+    assert report.witnesses == ()
+
+
+@pytest.mark.parametrize("weights", [
+    (0.0, 1.0 - 1e-14, 1e-14), (1e-14, 1.0 - 1e-14, 0.0), (1e-13, 1.0 - 1e-13, 0.0, 0.0)])
+def test_shared_mass_below_any_tolerance_is_not_unique(weights):
+    # a residue and its inverse (or a self-paired residue) both carry mass,
+    # however little: the oracle answers by support, as the verdict does
+    v = FiniteMeasureVector(weights)
+    report = brute_uniqueness(v)
+    verdict = is_determined(to_measure(v))
+    assert report.unique is False and verdict.determined is False
+    assert report.anti_mass == verdict.norm_im
+    # the shared mass is below the witness gap, so no witness can show it
     assert report.witnesses == ()
 
 
