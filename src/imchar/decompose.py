@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from imchar.domains import _KINDS, BorelSet
 from imchar.errors import PreconditionError
 from imchar.measures import (MASS_TOLERANCE, DensitySegment, SignedMeasure, _memo,
-                             _reflection_sums, _scaled_segment, _sign_pieces,
-                             build_measure, mass, measure_of, scale, total_variation)
+                             _reflection_halves, _scaled_segment, _sign_pieces,
+                             build_measure, mass, measure_of, total_variation)
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,12 @@ def sym_anti_split(m: SignedMeasure) -> SymAntiSplit:
 
     The parts are (m + m~) / 2 and (m - m~) / 2 for the reflection m~:
     each atom is paired with its inverse once, and each weight is one
-    rounded sum or difference, then halved. The split is built once
-    per measure and kept on it, since measures are immutable, so every
-    caller reads the same antisymmetric part and the signs isolated on
-    it once.
+    rounded sum or difference, halved in the same pass. The parts are
+    built once per measure and kept on it, since measures are immutable,
+    so every caller reads the same antisymmetric part and the signs
+    isolated on it once.
     """
-    def build(m):
-        even, odd = _reflection_sums(m)
-        return SymAntiSplit(scale(even, 0.5), scale(odd, 0.5))
-    return _memo(m, "_split_memo", build)
+    return _memo(m, "_split_memo", lambda m: SymAntiSplit(*_reflection_halves(m)))
 
 
 def hahn_jordan(m: SignedMeasure) -> JordanPair:
@@ -114,8 +111,13 @@ def hahn_jordan(m: SignedMeasure) -> JordanPair:
 
 
 def antisymmetry_defect(m: SignedMeasure) -> float:
-    """||m + reflect(m)||; zero exactly when m is antisymmetric."""
-    return total_variation(_reflection_sums(m)[0])
+    """||m + reflect(m)||; zero exactly when m is antisymmetric.
+
+    Twice the norm of the symmetric part, which is the same number: halving
+    and doubling are exact away from subnormals, and the norm scales
+    exactly with the weights it reads.
+    """
+    return 2.0 * total_variation(sym_anti_split(m).symmetric_part)
 
 
 def require_antisymmetric(m: SignedMeasure):

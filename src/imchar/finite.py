@@ -10,9 +10,12 @@ oracle for the measure pipeline.
 The measure path forms its odd part by the same formula, pairing each
 atom with its inverse and halving one rounded difference, and both
 reduce with exactly rounded summation, so agreement runs can use
-equality rather than tolerances on the norm. The character table of
-each order is computed once and kept (the last _CHARACTER_ORDERS
-orders).
+equality rather than tolerances on the norm. An agreement run draws,
+decides and verifies all of its vectors in one array pass: the support
+rule, the anti-masses and the witness candidates are built for the whole
+run, and every witness's imaginary part is checked in one product with
+the character table. The table of each order is computed once and kept
+(the last _CHARACTER_ORDERS orders).
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ class FiniteMeasureVector:
     def __post_init__(self):
         if not self.weights:
             raise ParameterError("a finite measure vector needs at least one weight")
-        for w in self.weights:
-            if not math.isfinite(w):
-                raise ParameterError("weights must be finite")
+        if not all(map(math.isfinite, self.weights)):
+            raise ParameterError("weights must be finite")
 
     @property
     def order(self) -> int:
@@ -61,7 +63,7 @@ class FiniteMeasureVector:
 
     @staticmethod
     def from_array(arr) -> "FiniteMeasureVector":
-        return FiniteMeasureVector(tuple(float(x) for x in arr))
+        return FiniteMeasureVector(tuple(np.asarray(arr, dtype=float).tolist()))
 
 
 @functools.lru_cache(maxsize=_CHARACTER_ORDERS)
@@ -126,67 +128,85 @@ def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
     grid of step 1/64, and InternalCheckError is raised if the two
     routes disagree. Below 1e-6 every grid candidate sits within the
     witness gap of v itself, so the search is skipped.
+
+    This is _uniqueness_reports on a batch of one: a run decides all of
+    its vectors in one array pass and checks every witness's imaginary
+    part in one product with the character table.
     """
-    arr = v.as_array()
-    n = v.order
-    if abs(math.fsum(v.weights) - 1.0) > 1e-12:
-        raise PreconditionError(f"probability vector expected: weights sum to "
-                                f"{math.fsum(v.weights)!r}")
-    if float(arr.min()) < -1e-15:
-        raise PreconditionError("probability vector expected: negative weight present")
+    return _uniqueness_reports([v])[0]
+
+
+def _uniqueness_reports(vectors) -> list[UniquenessReport]:
+    """brute_uniqueness for each of a list of vectors of one order."""
+    for v in vectors:
+        total = math.fsum(v.weights)
+        if abs(total - 1.0) > 1e-12:
+            raise PreconditionError(f"probability vector expected: weights sum to {total!r}")
+        if min(v.weights) < -1e-15:
+            raise PreconditionError("probability vector expected: negative weight present")
+    arr = np.array([v.weights for v in vectors])
+    count, n = arr.shape
     if n == 1:
         # the trivial group carries exactly one probability vector, so
         # the answer is unique even though the antisymmetric mass is 0
-        return UniquenessReport(True, 0.0, ())
+        return [UniquenessReport(True, 0.0, ())] * count
 
-    inverse = arr[(-np.arange(n)) % n]
+    inverse = arr[:, (-np.arange(n)) % n]
     a = 0.5 * (arr - inverse)
-    anti_mass = math.fsum(abs(x) for x in a)
-    unique = not np.minimum(arr, inverse).max() > 0.0
-    slack = 1.0 - anti_mass
+    base = np.abs(a)
+    anti_mass = [math.fsum(row) for row in base.tolist()]
+    unique = ~(np.minimum(arr, inverse).max(axis=1) > 0.0)
+    slack = 1.0 - np.array(anti_mass)
 
-    witnesses: list[FiniteMeasureVector] = []
-    if not unique:
-        base = np.abs(a)
-        im_v = dft(v).imag
-        for cand in _witness_candidates(base, a, slack, n):
-            if float(np.max(np.abs(cand - arr))) > _WITNESS_GAP:
-                w = FiniteMeasureVector.from_array(cand)
-                _verify_witness(im_v, w)
-                if all(w != seen for seen in witnesses):
-                    witnesses.append(w)
+    cands = _witness_candidates(base, a, slack)
+    keep = (np.abs(cands - arr[:, None, :]).max(axis=2) > _WITNESS_GAP) & ~unique[:, None]
+    rows = np.flatnonzero(~unique)
+    if rows.size:
+        _verify_witnesses(np.array([dft(vectors[i]).imag for i in rows]),
+                          cands[rows], keep[rows])
 
-    if n <= 8:
-        grid_unique = _grid_uniqueness(arr, a, slack, n)
-        if grid_unique is not None and grid_unique != unique:
-            raise InternalCheckError(
-                f"oracle disagreement on n={n}: support rule says "
-                f"{'unique' if unique else 'not unique'}, grid search disagrees")
+    reports = []
+    for i in range(count):
+        witnesses: list[FiniteMeasureVector] = []
+        for cand in cands[i, keep[i]]:
+            w = FiniteMeasureVector.from_array(cand)
+            if all(w != seen for seen in witnesses):
+                witnesses.append(w)
+        if n <= 8:
+            grid_unique = _grid_uniqueness(arr[i], a[i], slack[i], n)
+            if grid_unique is not None and grid_unique != unique[i]:
+                raise InternalCheckError(
+                    f"oracle disagreement on n={n}: support rule says "
+                    f"{'unique' if unique[i] else 'not unique'}, grid search disagrees")
+        reports.append(UniquenessReport(bool(unique[i]), anti_mass[i], tuple(witnesses)))
+    return reports
 
-    return UniquenessReport(unique, anti_mass, tuple(witnesses))
 
-
-def _witness_candidates(base, a, slack, n):
-    w0 = base.copy()
-    w0[0] += slack
-    yield w0 + a
-    wp = base.copy()
+def _witness_candidates(base, a, slack) -> np.ndarray:
+    """Three witness candidates per row, shape (count, 3, n): |a| + a with
+    the slack put on residue 0, split over 1 and -1, or spread evenly."""
+    n = base.shape[1]
+    cands = np.repeat(base[:, None, :], 3, axis=1)
+    cands[:, 0, 0] += slack
     if n - 1 == 1:
-        wp[1] += slack
+        cands[:, 1, 1] += slack
     else:
-        wp[1] += slack / 2
-        wp[n - 1] += slack / 2
-    yield wp + a
-    yield base + slack / n + a
+        cands[:, 1, 1] += slack / 2
+        cands[:, 1, n - 1] += slack / 2
+    cands[:, 2] += (slack / n)[:, None]
+    return cands + a[:, None, :]
 
 
-def _verify_witness(im_v: np.ndarray, w: FiniteMeasureVector):
-    """Check that w is a probability vector whose transform has imaginary part im_v."""
-    if abs(math.fsum(w.weights) - 1.0) > 1e-9:
-        raise InternalCheckError("witness mass drifted away from 1")
-    if min(w.weights) < -1e-12:
+def _verify_witnesses(im_v: np.ndarray, cands: np.ndarray, keep: np.ndarray):
+    """Check that each kept candidate cands[i, j] is a probability vector
+    whose transform has imaginary part im_v[i]."""
+    for row in cands[keep].tolist():
+        if abs(math.fsum(row) - 1.0) > 1e-9:
+            raise InternalCheckError("witness mass drifted away from 1")
+    if cands[keep].min(initial=0.0) < -1e-12:
         raise InternalCheckError("witness has a negative weight")
-    gap = float(np.max(np.abs(im_v - dft(w).imag)))
+    im_w = cands @ _characters(cands.shape[2]).imag.T
+    gap = float(np.abs(im_w - im_v[:, None, :])[keep].max(initial=0.0))
     if gap > 1e-12:
         raise InternalCheckError(f"witness imaginary part differs by {gap:.3e}")
 
@@ -246,31 +266,31 @@ def random_measures(n: int, count: int, kind: str = "probability",
     kind "signed": unconstrained standard normal weights.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        if kind == "probability":
-            w = rng.random(n) + 1e-12
-            w = w / w.sum()
-        elif kind == "antisymmetric":
-            w = np.zeros(n)
-            for k in range(1, (n + 1) // 2):
-                r = rng.uniform(-1.0, 1.0)
-                w[k] = r
-                w[n - k] = -r
-        elif kind == "signed":
-            w = rng.normal(size=n)
-        else:
-            raise ParameterError(f"unknown random measure kind {kind!r}")
-        out.append(FiniteMeasureVector.from_array(w))
-    return out
+    # one draw for all rows reads the generator's stream in the order
+    # row-by-row draws would, so the vectors do not depend on count
+    if kind == "probability":
+        w = rng.random((count, n)) + 1e-12
+        rows = w / w.sum(axis=1, keepdims=True)
+    elif kind == "antisymmetric":
+        half = (n - 1) // 2
+        r = rng.uniform(-1.0, 1.0, size=(count, half))
+        rows = np.zeros((count, n))
+        rows[:, 1:half + 1] = r
+        rows[:, n - half:] = -r[:, ::-1]
+    elif kind == "signed":
+        rows = rng.normal(size=(count, n))
+    else:
+        raise ParameterError(f"unknown random measure kind {kind!r}")
+    return [FiniteMeasureVector.from_array(row) for row in rows]
 
 
 def oracle_agreement(n: int, trials: int, seed: int = 0) -> dict:
     """Compare the closed-form oracle against the measure pipeline.
 
-    For each random probability vector brute_uniqueness's verdict is
-    checked against is_determined's, and the two norms must agree to
-    1e-12; witnesses are validated as they are produced. Returns a
+    The run's random probability vectors are decided in one pass
+    (_uniqueness_reports), each verdict is checked against
+    is_determined's, and the two norms must agree to 1e-12; witnesses
+    are validated as they are produced. Returns a
     JSON-ready report; disagreements must be 0. n runs from 2 to
     MAX_ORACLE_ORDER, trials is at least 1 and seed is nonnegative;
     anything else is refused before a table is built.
@@ -289,8 +309,7 @@ def oracle_agreement(n: int, trials: int, seed: int = 0) -> dict:
     vectors = random_measures(n, trials, "probability", seed)
     agreements = disagreements = witness_count = 0
     min_norm, max_norm = math.inf, -math.inf
-    for v in vectors:
-        report = brute_uniqueness(v)
+    for v, report in zip(vectors, _uniqueness_reports(vectors)):
         verdict = is_determined(to_measure(v))
         min_norm = min(min_norm, verdict.norm_im)
         max_norm = max(max_norm, verdict.norm_im)

@@ -12,8 +12,9 @@ overlapping segments are split on the common endpoint grid and their
 terms combined, so equality of representations is meaningful. All atom
 weight reductions use exactly rounded summation (math.fsum), which
 keeps discrete total variations order-independent. The even and odd
-parts (m +- m~) / 2 pair each atom with its inverse once and halve the
-one rounded sum or difference, which is the cyclic oracle's own formula
+parts (m +- m~) / 2 are formed in one reflection pass: each atom is
+paired with its inverse once and the one rounded sum or difference is
+halved there, which is the cyclic oracle's own formula
 a_k = (v_k - v_{-k}) / 2: the oracle and the measure path share the
 formula, so they agree bit for bit.
 
@@ -726,36 +727,36 @@ def _scaled_segment(s: DensitySegment, c: float) -> DensitySegment:
     return DensitySegment(s.lower, s.upper, coeffs, named)
 
 
-def _reflection_sums(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
-    """(m + m~, m - m~) for the reflection m~ of m, built in one pass and
-    kept on m.
+def _reflection_halves(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
+    """((m + m~) / 2, (m - m~) / 2) for the reflection m~ of m, built in
+    one pass.
 
-    Each atom is paired with its inverse once: the weights are the one
-    rounded sum w_t + w_{-t} and difference w_t - w_{-t} that
+    Each atom is paired with its inverse once: its weight is half the one
+    rounded sum w_t + w_{-t} or difference w_t - w_{-t} that
     add(m, reflect(m)) and subtract(m, reflect(m)) form, and the density
-    is normalized once for each, so both come out bit for bit as those
-    compositions do, without building m~ or -m~ (or rebuilding m).
+    is normalized once for each and its pieces halved, so both come out
+    bit for bit as scale(., 0.5) of those compositions, without building
+    m~, -m~ or the unhalved sums.
     """
-    def build(m):
-        if m.factors:
-            raise UnsupportedDomainError("sums of product measures are not representable")
-        domain = m.domain
-        own = {a.t: a.w for a in m.atoms}
-        # inverses can collide where negation rounds (on T), as in reflect
-        mirrored: dict = {}
-        for a in m.atoms:
-            u = negate_point(domain, a.t)
-            mirrored[u] = mirrored.get(u, 0.0) + a.w
-        spots = sorted(own.keys() | mirrored.keys())
-        refl = _reflected_segments(m)
-        sums = []
-        for sign, segs in ((1.0, refl), (-1.0, [_scaled_segment(s, -1.0) for s in refl])):
-            weights = ((t, own.get(t, 0.0) + sign * mirrored.get(t, 0.0)) for t in spots)
-            atoms = _finite_atoms(Atom(t, w) for t, w in weights if w != 0.0)
-            sums.append(SignedMeasure(domain, atoms,
-                                      _normalize_segments(domain, [*m.density, *segs])))
-        return tuple(sums)
-    return _memo(m, "_reflection_sums_memo", build)
+    if m.factors:
+        raise UnsupportedDomainError("sums of product measures are not representable")
+    domain = m.domain
+    own = {a.t: a.w for a in m.atoms}
+    # inverses can collide where negation rounds (on T), as in reflect
+    mirrored: dict = {}
+    for a in m.atoms:
+        u = negate_point(domain, a.t)
+        mirrored[u] = mirrored.get(u, 0.0) + a.w
+    spots = sorted(own.keys() | mirrored.keys())
+    refl = _reflected_segments(m)
+    halves = []
+    for sign, segs in ((1.0, refl), (-1.0, [_scaled_segment(s, -1.0) for s in refl])):
+        weights = ((t, 0.5 * (own.get(t, 0.0) + sign * mirrored.get(t, 0.0))) for t in spots)
+        atoms = _finite_atoms(Atom(t, w) for t, w in weights if w != 0.0)
+        pieces = (_combine_piece(s.lower, s.upper, [_scaled_segment(s, 0.5)])
+                  for s in _normalize_segments(domain, [*m.density, *segs]))
+        halves.append(SignedMeasure(domain, atoms, tuple(p for p in pieces if p is not None)))
+    return tuple(halves)
 
 
 def measure_of(m: SignedMeasure, s: BorelSet) -> float:

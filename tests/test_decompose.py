@@ -18,6 +18,7 @@ from imchar.measures import (DensitySegment, NamedTerm, _named, add,
                              named_density_measure, point_mass,
                              poly_density_measure, product_measure, reflect,
                              scale, subtract, total_variation, zero_measure)
+from imchar.wire import dumps_measure
 
 
 def test_split_three_quarters_delta():
@@ -284,6 +285,30 @@ def test_split_matches_composition_on_mixed_measures():
     for domain in (REAL_LINE, CIRCLE):
         for _ in range(10):
             _assert_split_bitwise(_random_mixed(rng, domain))
+
+
+def test_defect_and_split_read_the_halves_bit_for_bit():
+    # the defect doubles the norm of the symmetric half and the split
+    # halves in the reflection pass; both read as the full compositions do
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        a, b = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+        for m in (from_atoms(REAL_LINE, zip(rng.uniform(-5.0, 5.0, 6).tolist(),
+                                            rng.uniform(-1.0, 1.0, 6).tolist())),
+                  from_atoms(cyclic(9), enumerate(rng.random(9).tolist())),
+                  poly_density_measure(REAL_LINE, a, b, rng.normal(size=3).tolist()),
+                  named_density_measure(REAL_LINE, "normal",
+                                        {"mu": float(rng.uniform(-3.0, 3.0)), "sigma": 1.0},
+                                        float(rng.uniform(0.2, 1.0))),
+                  named_density_measure(CIRCLE, "wrapped_cauchy",
+                                        {"mu": float(rng.uniform(0.0, 6.0)), "gamma": 0.5}),
+                  _random_mixed(rng, REAL_LINE)):
+            r = reflect(m)
+            assert antisymmetry_defect(m).hex() == total_variation(add(m, r)).hex()
+            split = sym_anti_split(m)
+            assert dumps_measure(split.symmetric_part) == dumps_measure(scale(add(m, r), 0.5))
+            assert dumps_measure(split.antisymmetric_part) == \
+                dumps_measure(scale(subtract(m, r), 0.5))
 
 
 def test_split_at_self_inverse_points():

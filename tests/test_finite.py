@@ -9,7 +9,7 @@ from imchar import finite
 from imchar.charfn import eval_cf
 from imchar.determine import is_determined
 from imchar.domains import cyclic
-from imchar.errors import ParameterError, PreconditionError
+from imchar.errors import InternalCheckError, ParameterError, PreconditionError
 from imchar.finite import (FiniteMeasureVector, brute_uniqueness, dft,
                            from_measure, idft, oracle_agreement,
                            random_measures, to_measure)
@@ -46,8 +46,12 @@ def test_unique_vector():
     assert report.witnesses == ()
 
 
-@pytest.mark.parametrize("weights", [
-    (0.0, 1.0 - 1e-14, 1e-14), (1e-14, 1.0 - 1e-14, 0.0), (1e-13, 1.0 - 1e-13, 0.0, 0.0)])
+#: vectors whose shared mass is below the witness gap: not unique, no witness
+_SHARED_BELOW_GAP = [
+    (0.0, 1.0 - 1e-14, 1e-14), (1e-14, 1.0 - 1e-14, 0.0), (1e-13, 1.0 - 1e-13, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("weights", _SHARED_BELOW_GAP)
 def test_shared_mass_below_any_tolerance_is_not_unique(weights):
     # a residue and its inverse (or a self-paired residue) both carry mass,
     # however little: the oracle answers by support, as the verdict does
@@ -167,7 +171,89 @@ def test_uniqueness_transforms_v_once(monkeypatch):
     report = brute_uniqueness(v)
     assert len(report.witnesses) >= 2
     assert sum(u is v for u in seen) == 1
-    assert len(seen) == 1 + len(report.witnesses)
+
+
+@pytest.mark.parametrize("cand,src,dst,amount,message", [
+    # 1e-6 of mass from residue 1 to its inverse 3: mass and signs hold,
+    # the imaginary part moves
+    (2, 1, 3, 1e-6, "imaginary part"),
+    # 1e-3 of mass from residue 2 to 0 of (0.8, 0.2, 0, 0): mass holds,
+    # residue 2 turns negative
+    (0, 2, 0, 1e-3, "negative weight"),
+])
+def test_uniqueness_refuses_a_bad_witness(monkeypatch, cand, src, dst, amount, message):
+    def bad_candidates(*args, make=finite._witness_candidates):
+        cands = make(*args)
+        cands[:, cand, src] -= amount
+        cands[:, cand, dst] += amount
+        return cands
+
+    v = FiniteMeasureVector((0.1, 0.4, 0.3, 0.2))
+    assert len(brute_uniqueness(v).witnesses) == 3
+    monkeypatch.setattr(finite, "_witness_candidates", bad_candidates)
+    with pytest.raises(InternalCheckError, match=message):
+        brute_uniqueness(v)
+
+
+def _determined(rng, n):
+    """A probability vector on residues 1..(n-1)//2 only: support U with
+    U and -U disjoint."""
+    w = np.zeros(n)
+    w[1:(n + 1) // 2] = rng.random((n - 1) // 2) + 0.01
+    return FiniteMeasureVector.from_array(w / w.sum())
+
+
+def _loop_witnesses(v):
+    """The witnesses of v built one candidate at a time: the reference
+    the batched candidates must match bit for bit."""
+    arr = v.as_array()
+    n = len(arr)
+    a = 0.5 * (arr - arr[(-np.arange(n)) % n])
+    base = np.abs(a)
+    slack = 1.0 - math.fsum(base.tolist())
+    w0, wp = base.copy(), base.copy()
+    w0[0] += slack
+    if n == 2:
+        wp[1] += slack
+    else:
+        wp[1] += slack / 2
+        wp[n - 1] += slack / 2
+    out = []
+    for cand in (w0 + a, wp + a, base + slack / n + a):
+        w = FiniteMeasureVector.from_array(cand)
+        if np.max(np.abs(cand - arr)) > 1e-9 and w not in out:
+            out.append(w)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 11, 64, 256])
+def test_batched_reports_match_single_calls(n):
+    rng = np.random.default_rng(n)
+    vs = random_measures(n, 6, "probability", seed=n)
+    if n > 2:
+        # Z_2 is all self-inverse, so no probability vector on it is determined
+        vs += [_determined(rng, n) for _ in range(3)]
+    vs += [FiniteMeasureVector(w) for w in _SHARED_BELOW_GAP if len(w) == n]
+    batch = finite._uniqueness_reports(vs)
+    single = [brute_uniqueness(v) for v in vs]
+    assert [(r.unique, r.anti_mass.hex(), r.witnesses) for r in batch] == \
+        [(r.unique, r.anti_mass.hex(), r.witnesses) for r in single]
+    assert [r.witnesses for r in batch] == \
+        [() if r.unique else _loop_witnesses(v) for r, v in zip(batch, vs)]
+    assert {r.unique for r in batch} == ({False} if n == 2 else {True, False})
+    assert all(r.witnesses for r in batch[:6])
+
+
+@pytest.mark.parametrize("n", [2, 64, 256])
+def test_probability_draws_match_row_by_row(n):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(8):
+            w = rng.random(n) + 1e-12
+            rows.append(w / w.sum())
+        drawn = random_measures(n, 8, "probability", seed)
+        assert np.array([v.weights for v in drawn]).tobytes() == np.array(rows).tobytes()
 
 
 def test_agreement_computes_each_character_table_once():
