@@ -1,10 +1,11 @@
 """Exact uniqueness oracle on the cyclic groups Z_n.
 
-Everything on Z_n is a length-n weight vector, the transform is a
-plain character sum, and the determination question has a closed form:
-the imaginary part pins a probability vector v down exactly when no
-residue k carries mass together with its inverse -k (k = -k included),
-which is to say when a_k = (v_k - v_{n-k mod n}) / 2 has sum |a_k| = 1.
+Everything on Z_n is a length-n weight vector, the transform is the
+character sum f(j) = sum_k v_k exp(2*pi*i*j*k/n), computed by numpy's
+FFT, and the determination question has a closed form: the imaginary
+part pins a probability vector v down exactly when no residue k carries
+mass together with its inverse -k (k = -k included), which is to say
+when a_k = (v_k - v_{n-k mod n}) / 2 has sum |a_k| = 1.
 The whole construction is cheap enough to serve as an independent
 oracle for the measure pipeline.
 The measure path forms its odd part by the same formula, pairing each
@@ -13,14 +14,11 @@ reduce with exactly rounded summation, so agreement runs can use
 equality rather than tolerances on the norm. An agreement run draws,
 decides and verifies all of its vectors in one array pass: the support
 rule, the anti-masses and the witness candidates are built for the whole
-run, and every witness's imaginary part is checked in one product with
-the character table. The table of each order is computed once and kept
-(the last _CHARACTER_ORDERS orders).
+run, and every witness's imaginary part is checked in one batched FFT.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,15 +28,10 @@ from imchar.domains import GroupDomain
 from imchar.errors import InternalCheckError, ParameterError, PreconditionError
 from imchar.measures import SignedMeasure, build_measure
 
-#: slack grid resolution of the cross-checking search
-_GRID_STEPS = 64
 #: witnesses must move some coordinate by more than this to count
 _WITNESS_GAP = 1e-9
-#: character tables kept, one per order (an agreement run over
-#: n = 2..64 keeps all of its own)
-_CHARACTER_ORDERS = 64
-#: largest order an agreement run accepts: a character table, an n x n
-#: complex array, then takes 1 MB, and the kept tables 64 MB at most
+#: largest order an agreement run accepts (the CLI's --n): each trial
+#: builds and splits an n-atom measure on the pipeline's side
 MAX_ORACLE_ORDER = 256
 
 
@@ -66,26 +59,15 @@ class FiniteMeasureVector:
         return FiniteMeasureVector(tuple(np.asarray(arr, dtype=float).tolist()))
 
 
-@functools.lru_cache(maxsize=_CHARACTER_ORDERS)
-def _characters(n: int) -> np.ndarray:
-    """The character table exp(2*pi*i*j*k/n) of Z_n, computed once per order."""
-    jk = np.outer(np.arange(n), np.arange(n))
-    table = np.exp(2j * math.pi * jk / n)
-    table.flags.writeable = False
-    return table
-
-
 def dft(v: FiniteMeasureVector) -> np.ndarray:
-    """Transform values f(j) = sum_k v_k exp(2*pi*i*j*k/n), all residues j."""
-    return _characters(v.order) @ v.as_array()
+    """Transform values f(j) = sum_k v_k exp(2*pi*i*j*k/n), all residues j:
+    numpy's inverse FFT without its 1/n."""
+    return np.fft.ifft(v.as_array(), norm="forward")
 
 
 def idft(f: np.ndarray) -> FiniteMeasureVector:
     """Inverse of dft; recovers the weight vector from transform values."""
-    n = len(f)
-    jk = np.outer(np.arange(n), np.arange(n))
-    w = (np.exp(-2j * math.pi * jk / n) @ np.asarray(f, dtype=complex)) / n
-    return FiniteMeasureVector(tuple(float(x) for x in w.real))
+    return FiniteMeasureVector.from_array(np.fft.fft(f, norm="forward").real)
 
 
 def to_measure(v: FiniteMeasureVector) -> SignedMeasure:
@@ -123,15 +105,9 @@ def brute_uniqueness(v: FiniteMeasureVector) -> UniquenessReport:
     1e-9, so a vector whose shared mass is below that is reported not
     unique with no witness.
 
-    For n <= 8 a non-unique decision with slack 1 - anti_mass of at
-    least 1e-6 is rerun by searching symmetric completions on a slack
-    grid of step 1/64, and InternalCheckError is raised if the two
-    routes disagree. Below 1e-6 every grid candidate sits within the
-    witness gap of v itself, so the search is skipped.
-
     This is _uniqueness_reports on a batch of one: a run decides all of
     its vectors in one array pass and checks every witness's imaginary
-    part in one product with the character table.
+    part in one batched FFT.
     """
     return _uniqueness_reports([v])[0]
 
@@ -172,12 +148,6 @@ def _uniqueness_reports(vectors) -> list[UniquenessReport]:
             w = FiniteMeasureVector.from_array(cand)
             if all(w != seen for seen in witnesses):
                 witnesses.append(w)
-        if n <= 8:
-            grid_unique = _grid_uniqueness(arr[i], a[i], slack[i], n)
-            if grid_unique is not None and grid_unique != unique[i]:
-                raise InternalCheckError(
-                    f"oracle disagreement on n={n}: support rule says "
-                    f"{'unique' if unique[i] else 'not unique'}, grid search disagrees")
         reports.append(UniquenessReport(bool(unique[i]), anti_mass[i], tuple(witnesses)))
     return reports
 
@@ -205,52 +175,10 @@ def _verify_witnesses(im_v: np.ndarray, cands: np.ndarray, keep: np.ndarray):
             raise InternalCheckError("witness mass drifted away from 1")
     if cands[keep].min(initial=0.0) < -1e-12:
         raise InternalCheckError("witness has a negative weight")
-    im_w = cands @ _characters(cands.shape[2]).imag.T
+    im_w = np.fft.ifft(cands, axis=2, norm="forward").imag
     gap = float(np.abs(im_w - im_v[:, None, :])[keep].max(initial=0.0))
     if gap > 1e-12:
         raise InternalCheckError(f"witness imaginary part differs by {gap:.3e}")
-
-
-def _grid_uniqueness(arr, a, slack, n) -> bool | None:
-    """Independent search: distribute slack over symmetric completions.
-
-    Any probability vector sharing Im dft with arr has the form
-    sigma + a with sigma symmetric, sigma >= |a| pointwise and total
-    slack = 1 - sum|a| to hand out. Walking compositions of the slack
-    in 1/64 steps over the symmetric orbit representatives, the first
-    candidate differing from arr settles non-uniqueness; exhausting the
-    grid without finding one confirms uniqueness. Returns None for slack
-    below 1e-6, where the grid cannot tell candidates and arr apart and
-    the support rule decides alone.
-    """
-    if slack < 1e-6:
-        return None
-    reps = list(range(0, n // 2 + 1))
-    base = np.abs(a)
-    for combo in _compositions(_GRID_STEPS, len(reps)):
-        sigma = base.copy()
-        for r, c in zip(reps, combo):
-            if c == 0:
-                continue
-            extra = slack * (c / _GRID_STEPS)
-            if r == 0 or 2 * r == n:
-                sigma[r] += extra
-            else:
-                sigma[r] += extra / 2
-                sigma[n - r] += extra / 2
-        cand = sigma + a
-        if float(np.max(np.abs(cand - arr))) > _WITNESS_GAP:
-            return False
-    return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +221,7 @@ def oracle_agreement(n: int, trials: int, seed: int = 0) -> dict:
     are validated as they are produced. Returns a
     JSON-ready report; disagreements must be 0. n runs from 2 to
     MAX_ORACLE_ORDER, trials is at least 1 and seed is nonnegative;
-    anything else is refused before a table is built.
+    anything else is refused before a vector is drawn.
     """
     from imchar.determine import is_determined
 

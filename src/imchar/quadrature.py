@@ -49,14 +49,14 @@ class QuadResult:
 
 
 def _quad(fn, a, b, **kw):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            val, err = scipy.integrate.quad(fn, a, b, **kw)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise IntegrationError(f"quadrature failed on [{a}, {b}]: {exc}") from exc
-    noisy = any(issubclass(w.category, scipy.integrate.IntegrationWarning) for w in caught)
-    return val, err, noisy
+    """QUADPACK's value, error estimate and whether its status flagged
+    trouble: with full_output a status message follows the info dict,
+    in place of an IntegrationWarning, exactly when the status is not 0."""
+    try:
+        val, err, _info, *status = scipy.integrate.quad(fn, a, b, full_output=1, **kw)
+    except Exception as exc:  # pragma: no cover - defensive
+        raise IntegrationError(f"quadrature failed on [{a}, {b}]: {exc}") from exc
+    return val, err, bool(status)
 
 
 def integrate_fn(fn, a: float, b: float) -> QuadResult:

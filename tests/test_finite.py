@@ -1,7 +1,9 @@
 """Finite cyclic groups: DFT, brute-force uniqueness, oracle agreement."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,10 +140,11 @@ def test_oracle_agreement_rejects_trivial_order():
 @pytest.mark.parametrize("n,trials,seed", [
     (3, 0, 0), (3, -1, 0), (3, 5, -1), (finite.MAX_ORACLE_ORDER + 1, 5, 0)])
 def test_oracle_agreement_refuses_bad_runs_before_building(monkeypatch, n, trials, seed):
-    def no_table(order):
-        raise AssertionError(f"character table of order {order} built")
+    def no_work(*args, **kw):
+        raise AssertionError("a refused run drew or decided vectors")
 
-    monkeypatch.setattr(finite, "_characters", no_table)
+    monkeypatch.setattr(finite, "random_measures", no_work)
+    monkeypatch.setattr(finite, "_uniqueness_reports", no_work)
     with pytest.raises(ParameterError):
         oracle_agreement(n, trials, seed)
 
@@ -151,17 +154,24 @@ def test_oracle_agreement_runs_at_its_largest_order():
     assert report["agreements"] == 1 and report["disagreements"] == 0
 
 
-def test_dft_reads_the_fresh_product_bit_for_bit():
-    rng = np.random.default_rng(8)
-    for n in range(1, 71):
-        v = FiniteMeasureVector.from_array(rng.normal(size=n))
-        jk = np.outer(np.arange(n), np.arange(n))
-        fresh = np.exp(2j * math.pi * jk / n) @ v.as_array()
-        assert dft(v).view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
-    # seventy orders went through a cache that keeps at most _CHARACTER_ORDERS
-    assert finite._characters.cache_info().currsize <= finite._CHARACTER_ORDERS
-    with pytest.raises(ValueError):
-        finite._characters(5)[0, 0] = 0.0
+def _exact_character_sum(weights):
+    """sum_k v_k exp(2*pi*i*j*k/n) for every j, at 40 significant digits."""
+    n = len(weights)
+    with mpmath.workdps(40):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * r) / n) for r in range(n)]
+        return [mpmath.fdot(weights, [roots[j * k % n] for k in range(n)])
+                for j in range(n)]
+
+
+def test_dft_matches_exact_character_sums():
+    # bound: 2 log2(n) ulps of the weights' l1 norm (numpy 2.4's pocketfft
+    # stays below 0.2 log2(n) of them on these draws)
+    for n in [*range(1, 71), 256]:
+        v = FiniteMeasureVector.from_array(np.random.default_rng(n).normal(size=n))
+        exact = _exact_character_sum(v.weights)
+        err = max(float(abs(mpmath.mpc(z) - e)) for z, e in zip(dft(v).tolist(), exact))
+        l1 = math.fsum(map(abs, v.weights))
+        assert err <= 2 * max(1.0, math.log2(n)) * np.finfo(float).eps * l1, n
 
 
 def test_uniqueness_transforms_v_once(monkeypatch):
@@ -256,11 +266,65 @@ def test_probability_draws_match_row_by_row(n):
         assert np.array([v.weights for v in drawn]).tobytes() == np.array(rows).tobytes()
 
 
-def test_agreement_computes_each_character_table_once():
-    finite._characters.cache_clear()
-    for n in range(2, 11):
-        oracle_agreement(n, 8, seed=n)
-        oracle_agreement(n, 8, seed=n + 100)
-    info = finite._characters.cache_info()
-    assert (info.misses, info.currsize) == (9, 9)
-    assert info.hits > 0
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+#: slack parts of the reference grid search
+_GRID_STEPS = 64
+
+
+def _grid_witness(weights):
+    """Reference search for a witness, independent of the support rule.
+
+    In exact arithmetic, a nonnegative vector with the mass of v and the
+    imaginary part of its transform is sigma + a, where a = (v - v~)/2
+    and sigma is symmetric with sigma >= |a|, carrying the slack
+    mass(v) - sum |a| beyond |a|. The slack is handed out in 1/64
+    parts over the orbit representatives 0..n//2; the first candidate
+    that differs from v is returned, None when no grid point does (with
+    no slack the grid has the one point |a| + a).
+    """
+    v = [Fraction(w) for w in weights]
+    n = len(v)
+    a = [(v[k] - v[-k % n]) / 2 for k in range(n)]
+    slack = sum(v) - sum(map(abs, a))
+    reps = range(n // 2 + 1)
+    for combo in _compositions(_GRID_STEPS if slack else 0, len(reps)):
+        sigma = [abs(x) for x in a]
+        for r, c in zip(reps, combo):
+            extra = slack * c / _GRID_STEPS
+            if r == 0 or 2 * r == n:
+                sigma[r] += extra
+            else:
+                sigma[r] += extra / 2
+                sigma[n - r] += extra / 2
+        cand = [s + x for s, x in zip(sigma, a)]
+        if cand != v:
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_search_agrees_with_the_support_rule(n):
+    rng = np.random.default_rng(100 + n)
+    vs = random_measures(n, 8, "probability", seed=n)
+    if n > 2:
+        vs += [_determined(rng, n) for _ in range(3)]
+    vs += [FiniteMeasureVector(w) for w in _SHARED_BELOW_GAP if len(w) == n]
+    reports = [brute_uniqueness(v) for v in vs]
+    for v, report in zip(vs, reports):
+        cand = _grid_witness(v.weights)
+        assert (cand is None) == report.unique, v
+        if cand is not None:
+            moved = [c - Fraction(w) for c, w in zip(cand, v.weights)]
+            assert min(cand) >= 0 and sum(moved) == 0
+            assert all(moved[k] == moved[-k % n] for k in range(n))
+    assert {r.unique for r in reports} == ({True} if n == 1 else
+                                           {False} if n == 2 else {True, False})

@@ -1,10 +1,12 @@
 """Plain and oscillatory quadrature against closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from imchar.errors import QuadratureWarning
 from imchar.quadrature import integrate_fn, integrate_trig
 
 
@@ -85,3 +87,22 @@ def test_endpoint_singularity():
     s = integrate_trig(f, 0.0, 1.0, 2.0, "sin")
     assert c.value == pytest.approx(j0(1.0) * math.cos(1.0), abs=1e-8)
     assert s.value == pytest.approx(j0(1.0) * math.sin(1.0), abs=1e-8)
+
+
+def test_missed_target_warns():
+    # int_0^1 sin(1/t)/t dt = pi/2 - Si(1), but the oscillation piles up at 0
+    # faster than 800 subintervals can follow
+    with pytest.warns(QuadratureWarning, match="exceeds target"):
+        r = integrate_fn(lambda t: math.sin(1.0 / t) / t, 0.0, 1.0)
+    assert r.warned and r.error > 1e-8
+
+
+def test_clean_calls_warn_nothing_and_keep_the_filters():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        plain = integrate_fn(lambda t: t * t, 0.0, 3.0)
+        weighted = integrate_trig(lambda t: np.exp(-t), 0.0, math.inf, 7.0, "sin")
+        assert warnings.filters == filters
+    assert caught == []
+    assert not plain.warned and not weighted.warned
