@@ -30,9 +30,9 @@ from imchar.decompose import hahn_jordan, require_antisymmetric, sym_anti_split
 from imchar.domains import _KINDS, BorelSet, GroupDomain, canonical_point, negate_point
 from imchar.errors import (InternalCheckError, ParameterError,
                            PreconditionError, UnsupportedDomainError)
-from imchar.measures import (_ROOT_TOL, MASS_TOLERANCE, SignedMeasure, _sign_pieces, add,
-                             build_measure, mass, measure_of, point_mass, scale,
-                             segment_mass, total_variation)
+from imchar.measures import (_ROOT_TOL, _ULP, MASS_TOLERANCE, SignedMeasure, _sign_pieces,
+                             add, build_measure, mass, measure_of, point_mass, scale,
+                             segment_mass, subtract, total_variation)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class CompanionResult:
     companion: SignedMeasure
     sigma_choice: str
     norm_im: float
-    max_im_discrepancy: float
-    distinctness: float
+    max_im_discrepancy: float   # max |Im (f_nu - f_m)| over the default 64-point grid
+    distinctness: float         # max |f_nu - f_m| over the same grid
 
 
 def require_probability(m: SignedMeasure):
@@ -212,8 +212,9 @@ def companion(m: SignedMeasure, sigma="zero") -> CompanionResult:
     from m by less than the float norm can show. The companion is
     2*(m_a)+ plus (1 - norm) times the chosen symmetric sigma.
     InternalCheckError is raised when it misses unit mass, has a negative
-    atom, or its imaginary part leaves m's by more than the error bounds
-    of the two transforms on the default 64-point grid.
+    atom, or Im f of nu - m (one transform, in which the terms nu shares
+    with m cancel) exceeds its error bound on the default 64-point grid
+    plus _ULP, half an ulp each for rounding the atom weights of m_a and nu.
     """
     require_probability(m)
     if m.domain.kind == "Rbox":
@@ -236,17 +237,16 @@ def companion(m: SignedMeasure, sigma="zero") -> CompanionResult:
         if a.w < -1e-10:
             raise InternalCheckError(f"companion atom at {a.t} came out negative: {a.w}")
 
-    grid = default_dual_grid(m.domain, 64)
-    sm, sn = sample_cf(m, grid), sample_cf(nu, grid)
-    gaps = np.abs(sm.values.imag - sn.values.imag)
-    bound = sm.errors + sn.errors
+    diff = sample_cf(subtract(nu, m), default_dual_grid(m.domain, 64))
+    gaps = np.abs(diff.values.imag)
+    bound = diff.errors + _ULP
     over = np.flatnonzero(gaps > bound)
     if over.size:
         i = over[0]
         raise InternalCheckError(f"companion imaginary part misses the original's by {gaps[i]:.3e}"
-                                 f" at x = {grid[i]}, beyond its bound {bound[i]:.3e}")
+                                 f" at x = {diff.points[i]}, beyond its bound {bound[i]:.3e}")
     d_im = float(np.max(gaps, initial=0.0))
-    d_all = float(np.max(np.abs(sm.values - sn.values), initial=0.0))
+    d_all = float(np.max(np.abs(diff.values), initial=0.0))
     return CompanionResult(m, nu, label, norm, d_im, d_all)
 
 

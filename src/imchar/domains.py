@@ -275,6 +275,16 @@ def _line_span(lo: float, hi: float, cl: bool, ch: bool) -> list[Interval]:
     return [Interval(lo, hi, cl, ch)]
 
 
+def _line_grid(d, count: int) -> list:
+    """np.linspace(-20, 20, count) with its lower half the mirror of its
+    upper half, so every point's negation is in the grid."""
+    grid = np.linspace(-20.0, 20.0, count)
+    if count > 1:
+        upper = grid[(count + 1) // 2:]
+        grid = np.concatenate([-upper[::-1], [0.0] * (count % 2), upper])
+    return list(grid)
+
+
 def _parse_span(span) -> tuple[float, float, bool, bool]:
     """(lo, hi) or (lo, hi, closed_lo, closed_hi); two ends default closed."""
     lo, hi, cl, ch = (*span, True, True) if len(span) == 2 else span
@@ -422,7 +432,7 @@ _KINDS: dict[str, _Kind] = {
         point=lambda d, t: _finite(t, "real-line location"),
         negate=lambda d, t: -float(t),
         dual=lambda d, x: _finite(x, "dual point"),
-        dual_grid=lambda d, count: list(np.linspace(-20.0, 20.0, count)),
+        dual_grid=_line_grid,
         circular=False,
         mirror=lambda c, d: (-d, -c),
         mirror_arg=operator.neg,

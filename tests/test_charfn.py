@@ -193,6 +193,16 @@ def test_default_dual_grid():
     assert list(zn_grid) == [0, 1, 2, 3, 4]
 
 
+def test_the_line_grid_holds_each_point_and_its_negation():
+    # so segment_mass integrates each |x| of a default grid once
+    for count in range(2, 202):
+        grid = np.asarray(default_dual_grid(REAL_LINE, count))
+        assert np.all(np.diff(grid) > 0)
+        assert set(-grid) == set(grid)
+        assert np.max(np.abs(grid - np.linspace(-20.0, 20.0, count))) <= 8 * np.spacing(20.0)
+    assert default_dual_grid(REAL_LINE, 1) == [-20.0]
+
+
 def test_psd_check_cosine():
     m = from_atoms(REAL_LINE, [(1.0, 0.5), (-1.0, 0.5)])
     report = psd_check(m, [0.0, 1.0, 2.0])

@@ -10,8 +10,8 @@ import pytest
 import helpers
 import imchar
 from imchar import decompose, determine, finite, measures
-from imchar.catalog import criterion_set, make_measure, spec
-from imchar.charfn import eval_cf, im_cf
+from imchar.catalog import catalog_names, criterion_set, make_measure, spec
+from imchar.charfn import default_dual_grid, eval_cf, im_cf, sample_cf
 from imchar.cli import main
 from imchar.decompose import hahn_jordan, sym_anti_split, v_set_certificate
 from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
@@ -310,6 +310,66 @@ def test_companion_checks_its_imaginary_part(monkeypatch):
     monkeypatch.setattr(determine, "hahn_jordan", short_of_an_atom)
     with pytest.raises(InternalCheckError, match="imaginary part"):
         companion(m)
+
+
+def test_lopsided_atoms_clear_the_rounding_of_their_weights():
+    # the weights of m's odd part and of nu round by half an ulp each; on
+    # a light atom at -1 the imaginary part of nu - m is all rounding
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        e, a = 10.0 ** rng.uniform(-14, -3), rng.uniform(0.1, 10.0)
+        m = from_atoms(REAL_LINE, [(1.0, 1.0 - (1.0 + a) * e), (-1.0, e), (3.0, a * e)])
+        for sigma in ("zero", ("pair", 1.0)):
+            assert companion(m, sigma).max_im_discrepancy < 1e-15
+
+
+def _check_by_two_transforms(m, res):
+    """The companion check done the long way: Im f of m and of nu, each
+    on the default grid with its own bound, must agree within the sum of
+    the two, and the reported fields must match the gaps within it."""
+    grid = default_dual_grid(m.domain, 64)
+    sm, sn = sample_cf(m, grid), sample_cf(res.companion, grid)
+    bound = sm.errors + sn.errors
+    gaps = np.abs(sm.values.imag - sn.values.imag)
+    assert np.all(gaps <= bound), m
+    slack = np.max(bound)
+    assert abs(res.max_im_discrepancy - np.max(gaps)) <= slack
+    assert abs(res.distinctness - np.max(np.abs(sm.values - sn.values))) <= slack
+
+
+def test_companions_agree_with_two_transforms():
+    sigmas = ("zero", ("pair", 1.0))
+    checked = 0
+    for name in catalog_names():
+        m = make_measure(spec(name))
+        if m.domain.kind == "Rbox" or is_determined(m).determined:
+            continue
+        for sigma in sigmas:
+            _check_by_two_transforms(m, companion(m, sigma))
+            checked += 1
+    assert checked == 20
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        m = helpers.paired_discrete_probability(rng)
+        _check_by_two_transforms(m, companion(m, sigmas[int(rng.integers(2))]))
+
+
+def test_companion_transforms_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(determine, "sample_cf",
+                        lambda mm, points: calls.append(mm) or sample_cf(mm, points))
+    m = from_atoms(REAL_LINE, [(1.0, 0.75), (-1.0, 0.25)])
+    res = companion(m, ("pair", 2.0))
+    assert len(calls) == 1
+    assert total_variation(subtract(calls[0], subtract(res.companion, m))) == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="all the shared mass sits at 0, so the default "
+                   "filler rebuilds m itself: the companion equals its original")
+@pytest.mark.parametrize("name", ["poisson", "binomial", "negative_binomial", "hypergeometric"])
+def test_a_lattice_companion_differs_from_its_original(name):
+    m = make_measure(spec(name))
+    assert total_variation(subtract(companion(m, "zero").companion, m)) > 1e-6
 
 
 def test_signs_are_isolated_once_per_measure(monkeypatch):

@@ -312,7 +312,7 @@ def test_a_companion_reads_the_pieces_of_its_lineage(monkeypatch):
     in_lineage = transforms()
     grid = default_dual_grid(m.domain, 64)
     del calls[:]
-    # the two 64-point checks of companion, on copies that start afresh
+    # 64-point transforms of m and its companion, on copies that start afresh
     copies = [sample_cf(loads_measure(dumps_measure(mm)), grid) for mm in (m, res.companion)]
     assert 0 < in_lineage < transforms()
     for mm, fresh in zip((m, res.companion), copies):
