@@ -136,10 +136,6 @@ def criterion_set(sp: DistributionSpec) -> BorelSet | None:
     return _entry(sp.name).criterion(sp.params_dict)
 
 
-def provenance(sp: DistributionSpec) -> str:
-    return _entry(sp.name).provenance
-
-
 def classify(sp: DistributionSpec) -> ClassifyResult:
     """Run is_determined and compare with the catalog expectation."""
     entry = _entry(sp.name)

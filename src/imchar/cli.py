@@ -66,20 +66,24 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _load_input(args) -> tuple[SignedMeasure, str]:
-    """Resolve --dist/--measure into a measure and a display label."""
-    if getattr(args, "dist", None) and getattr(args, "measure", None):
+def _spec(args):
+    """The catalog entry named by --dist, bound to --params."""
+    return catalog.spec(args.dist, **_parse_params(args.params or ""))
+
+
+def _load_input(args) -> SignedMeasure:
+    """Resolve --dist/--measure into a measure."""
+    if args.dist and args.measure:
         raise ParameterError("give either --dist or --measure, not both")
-    if getattr(args, "dist", None):
-        sp = catalog.spec(args.dist, **_parse_params(args.params or ""))
-        return catalog.make_measure(sp), args.dist
-    if getattr(args, "measure", None):
-        return wire.load_measure(args.measure), args.measure
+    if args.dist:
+        return catalog.make_measure(_spec(args))
+    if args.measure:
+        return wire.load_measure(args.measure)
     raise ParameterError("an input is required: --dist NAME or --measure FILE")
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -87,10 +91,6 @@ def _emit(args, text: str):
 
 
 def _emit_obj(args, obj):
-    """JSON-object output path; csv is refused (grid data is the one
-    tabular product, handled by cf-grid)."""
-    if getattr(args, "format", None) == "csv":
-        raise ParameterError("csv output is only available for cf-grid")
     _emit(args, jsonio.dumps(obj))
 
 
@@ -111,28 +111,26 @@ def _parse_sigma(text: str):
 
 
 def _cmd_classify(args) -> int:
-    if args.dist:
-        sp = catalog.spec(args.dist, **_parse_params(args.params or ""))
-        result = catalog.classify(sp)
+    if args.dist and not args.measure:
+        result = catalog.classify(_spec(args))
         obj = result.verdict.to_obj()
         obj["distribution"] = args.dist
         obj["expected"] = result.expected
         obj["agrees"] = result.agrees
         _emit_obj(args, obj)
         return EXIT_OK if result.agrees else EXIT_INTERNAL
-    m, _ = _load_input(args)
-    _emit_obj(args, is_determined(m).to_obj())
+    _emit_obj(args, is_determined(_load_input(args)).to_obj())
     return EXIT_OK
 
 
 def _cmd_norm(args) -> int:
-    m, _ = _load_input(args)
+    m = _load_input(args)
     _emit_obj(args, {"norm_im": bnorm_im(m)})
     return EXIT_OK
 
 
 def _cmd_companion(args) -> int:
-    m, _ = _load_input(args)
+    m = _load_input(args)
     result = companion(m, _parse_sigma(args.sigma))
     obj = {
         "sigma": result.sigma_choice,
@@ -146,7 +144,7 @@ def _cmd_companion(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    m, _ = _load_input(args)
+    m = _load_input(args)
     split = sym_anti_split(m)
     jp = hahn_jordan(split.antisymmetric_part)
     obj = {
@@ -164,7 +162,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify_lemma1(args) -> int:
-    m, _ = _load_input(args)
+    m = _load_input(args)
     eta = sym_anti_split(m).antisymmetric_part
     cert = v_set_certificate(eta)
     obj = {
@@ -194,7 +192,7 @@ def _cmd_cf_grid(args) -> int:
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)):
         raise ParameterError("--xmin and --xmax must be finite, "
                              f"got {args.xmin} and {args.xmax}")
-    m, _ = _load_input(args)
+    m = _load_input(args)
     if args.points < 1:
         raise ParameterError("--points must be at least 1")
     integer_dual = _KINDS[m.domain.kind].integer_dual
@@ -207,7 +205,7 @@ def _cmd_cf_grid(args) -> int:
     cast = int if integer_dual else float
     rows = [(cast(x), v.real, v.imag, float(e))
             for x, v, e in zip(sample.points, sample.values, sample.errors)]
-    if getattr(args, "format", None) == "json":
+    if args.format == "json":
         _emit(args, jsonio.dumps([
             {"x": x, "re": re_, "im": im_, "err": err}
             for x, re_, im_, err in rows]))
@@ -220,15 +218,12 @@ def _cmd_cf_grid(args) -> int:
 # wiring
 
 
+_OUTPUT_FLAGS = (("--out", dict(help="write output to this file instead of stdout")),)
 _INPUT_FLAGS = (
     ("--dist", dict(help="catalog distribution name")),
     ("--params", dict(help="comma-separated k=v parameter overrides")),
     ("--measure", dict(help="path to a measure JSON file")),
-    ("--out", dict(help="write output to this file instead of stdout")),
-    ("--format", dict(choices=["json", "csv"], default=None,
-                      help="output encoding (json everywhere; csv for cf-grid)")),
-)
-_OUTPUT_FLAGS = (("--out", {}), ("--format", dict(choices=["json", "csv"], default=None)))
+) + _OUTPUT_FLAGS
 
 #: (name, body, help, flags) per subcommand, in --help order
 _COMMANDS = (
@@ -247,7 +242,8 @@ _COMMANDS = (
       ("--seed", dict(type=int, default=0))) + _OUTPUT_FLAGS),
     ("catalog-list", _cmd_catalog_list, "catalog entries as JSON", _OUTPUT_FLAGS),
     ("cf-grid", _cmd_cf_grid, "transform values on a grid (CSV)",
-     _INPUT_FLAGS + (("--xmin", dict(type=float, default=-10.0)),
+     _INPUT_FLAGS + (("--format", dict(choices=["csv", "json"], default="csv")),
+                     ("--xmin", dict(type=float, default=-10.0)),
                      ("--xmax", dict(type=float, default=10.0)),
                      ("--points", dict(type=int, default=101)))),
 )
@@ -270,7 +266,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             parser.print_help(sys.stderr)
             return EXIT_INPUT
         return args.fn(args)

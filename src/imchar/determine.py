@@ -188,16 +188,23 @@ def support_criterion_verdict(m: SignedMeasure, u: BorelSet) -> DeterminationVer
 
 
 def sigma_measure(domain: GroupDomain, sigma) -> tuple[SignedMeasure, str]:
-    """Resolve a symmetric filler choice: "zero" or ("pair", a)."""
+    """Resolve a symmetric filler choice: "zero" or ("pair", a).
+
+    The pair sits at b = -a and -b, not at a and -a. On T negation
+    rounds 2*pi - t, exactly for t >= pi (Sterbenz), so b >= pi gives
+    -b = 2*pi - b exactly and b < pi came exactly from a, giving -b = a:
+    {b, -b} is closed under the computed negation and the filler equals
+    its reflection.
+    """
     if sigma == "zero":
         return point_mass(domain, 0, 1.0), "zero"
     if isinstance(sigma, tuple) and len(sigma) == 2 and sigma[0] == "pair":
-        a = canonical_point(domain, sigma[1])
-        if a == negate_point(domain, a):
+        b = negate_point(domain, canonical_point(domain, sigma[1]))
+        if b == negate_point(domain, b):
             raise ParameterError(
                 f"sigma pair location {sigma[1]!r} is its own inverse on "
                 f"{domain.describe()}; the pair needs a != -a")
-        m = build_measure(domain, [(a, 0.5), (negate_point(domain, a), 0.5)])
+        m = build_measure(domain, [(b, 0.5), (negate_point(domain, b), 0.5)])
         return m, f"pair:{sigma[1]}"
     raise ParameterError(f'sigma must be "zero" or ("pair", a), got {sigma!r}')
 

@@ -61,8 +61,6 @@ def _quad(fn, a, b, **kw):
 
 def integrate_fn(fn, a: float, b: float) -> QuadResult:
     """Integrate fn over [a, b]; either endpoint may be infinite."""
-    if a == b:
-        return QuadResult(0.0, 0.0)
     val, err, noisy = _quad(fn, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
     if _unusable(val) or (noisy and err > 1e-6):
         # one retry with a finer budget before giving up on the estimate
@@ -78,74 +76,39 @@ def integrate_fn(fn, a: float, b: float) -> QuadResult:
     return QuadResult(val, abs(err), warned)
 
 
-def _weighted(fn, a, b, omega, trig):
-    """One call of the weighted machinery on a base-orientation interval.
-
-    Requires a finite; b finite (QAWO) or +inf (QAWF). Returns None when
-    the routine produced garbage so the caller can fall back.
-    """
-    if math.isinf(b):
-        kw = dict(weight=trig, wvar=omega, limlst=100, limit=_LIMIT, epsabs=EPS_ABS)
-    else:
-        kw = dict(weight=trig, wvar=omega, limit=_LIMIT, epsabs=EPS_ABS, epsrel=EPS_REL)
-    try:
-        val, err, noisy = _quad(fn, a, b, **kw)
-    except IntegrationError:
-        return None
-    if _unusable(val) or not math.isfinite(err):
-        return None
-    return val, err, noisy
-
-
 def integrate_trig(fn, a: float, b: float, omega: float, trig: str) -> QuadResult:
     """Integral of fn(t) * cos(omega t) or fn(t) * sin(omega t) over [a, b].
 
+    Takes a < b with at most one infinite end, and omega of either sign.
     fn must be finite except possibly at the endpoints (integrable
     singularities there are tolerated via the fallback route).
     """
-    if a == b:
-        return QuadResult(0.0, 0.0)
-    if a > b:
-        r = integrate_trig(fn, b, a, omega, trig)
-        return QuadResult(-r.value, r.error, r.warned)
-    if omega == 0.0:
-        if trig == "sin":
-            return QuadResult(0.0, 0.0)
-        return integrate_fn(fn, a, b)
-    if omega < 0.0:
-        r = integrate_trig(fn, a, b, -omega, trig)
-        if trig == "sin":
-            return QuadResult(-r.value, r.error, r.warned)
-        return r
+    if omega < 0.0 or math.isinf(a):
+        # cos is even in omega and sin odd; (-inf, b] mirrors to [-b, inf),
+        # where sin changes sign with t
+        if omega < 0.0:
+            r = integrate_trig(fn, a, b, -omega, trig)
+        else:
+            r = integrate_trig(lambda t: fn(-t), -b, math.inf, omega, trig)
+        return QuadResult(-r.value, r.error, r.warned) if trig == "sin" else r
 
-    # reduce to base orientation: finite left endpoint
-    if math.isinf(a):
-        if math.isinf(b):
-            left = integrate_trig(lambda t: fn(-t), 0.0, math.inf, omega, trig)
-            right = integrate_trig(fn, 0.0, math.inf, omega, trig)
-            sgn = -1.0 if trig == "sin" else 1.0
-            return QuadResult(sgn * left.value + right.value,
-                              left.error + right.error, left.warned or right.warned)
-        # (-inf, b]: mirror to [-b, inf)
-        r = integrate_trig(lambda t: fn(-t), -b, math.inf, omega, trig)
-        sgn = -1.0 if trig == "sin" else 1.0
-        return QuadResult(sgn * r.value, r.error, r.warned)
-
-    got = _weighted(fn, a, b, omega, trig) if omega >= _PLAIN_BELOW else None
-    if got is not None:
-        val, err, noisy = got
-        if not noisy or err <= 1e-8:
-            return QuadResult(val, abs(err), False)
+    # QAWO on [a, b], QAWF on [a, inf): a noisy result is kept to compare
+    # with the fallback's, garbage is dropped
+    got = None
+    if omega >= _PLAIN_BELOW:
+        try:
+            val, err, noisy = _quad(fn, a, b, weight=trig, wvar=omega, limlst=100,
+                                    limit=_LIMIT, epsabs=EPS_ABS, epsrel=EPS_REL)
+            if not _unusable(val) and math.isfinite(err):
+                if not noisy or err <= 1e-8:
+                    return QuadResult(val, abs(err), False)
+                got = val, abs(err)
+        except IntegrationError:
+            pass
     # fallback: fold the weight into the integrand and let plain
     # adaptive subdivision cope (handles endpoint singularities)
-    w = omega
-    if trig == "cos":
-        whole = lambda t: fn(t) * math.cos(w * t)
-    else:
-        whole = lambda t: fn(t) * math.sin(w * t)
-    res = integrate_fn(whole, a, b)
-    if got is not None:
-        val, err, noisy = got
-        if err < res.error:
-            return QuadResult(val, abs(err), err > 1e-8)
+    wave = math.cos if trig == "cos" else math.sin
+    res = integrate_fn(lambda t: fn(t) * wave(omega * t), a, b)
+    if got is not None and got[1] < res.error:
+        return QuadResult(*got, True)
     return res

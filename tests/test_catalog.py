@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from imchar.catalog import (_TAIL, DETERMINED, NOT_DETERMINED, _pmf_measure_tail,
-                            catalog_list_obj, classify, classify_all,
+                            catalog_list_obj, catalog_names, classify, classify_all,
                             criterion_set, domain_of, expected_classification,
                             make_measure, spec)
 from imchar.determine import support_criterion_check
@@ -159,11 +159,18 @@ def test_classify_all_agrees_everywhere():
 
 
 def test_criterion_sets_witness_determination():
-    for name in ("exponential", "gamma", "chi2", "levy", "maxwell", "pareto",
-                 "beta", "arcsine", "hyperexponential", "multivariate_pareto"):
-        sp = spec(name)
+    # every entry, at its defaults and around them: a certifying set exists
+    # exactly where the entry is expected determined, and it certifies
+    rng = np.random.default_rng(3)
+    # support from n + K - N = 2: the draws around N=10, K=4, n=3 never clear 0
+    specs = [spec("hypergeometric", N=10, K=6, n=6)]
+    for name in catalog_names():
+        specs += [spec(name), *helpers.catalog_draws(rng, name, 8)]
+    for sp in specs:
         u = criterion_set(sp)
-        assert support_criterion_check(make_measure(sp), u), name
+        assert (u is not None) == (expected_classification(sp) == DETERMINED), sp
+        if u is not None:
+            assert support_criterion_check(make_measure(sp), u), sp
 
 
 def test_catalog_list_shape():

@@ -2,13 +2,17 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import imchar
 from imchar.cli import main
+from imchar.determine import is_determined
+from imchar.wire import load_measure
 
 
 def run(capsys, *argv):
@@ -133,6 +137,9 @@ def test_measure_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "norm", "--measure", str(path))
     assert code == 0
     assert json.loads(out)["norm_im"] == pytest.approx(0.5, abs=1e-15)
+    code, out, err = run(capsys, "classify", "--measure", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == is_determined(load_measure(str(path))).to_obj()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -153,7 +160,7 @@ def test_repeat_invocations_byte_identical(capsys):
     (["classify", "--dist", "nonsense"], "nonsense"),
     (["norm"], "an input is required"),
     (["norm", "--dist", "normal", "--params", "mu=abc"], "not a number"),
-    (["norm", "--dist", "normal", "--format", "csv"], "cf-grid"),
+    (["norm", "--dist", "normal", "--format", "csv"], "unrecognized arguments: --format"),
     (["companion", "--dist", "exponential"], "no companion exists"),
 ])
 def test_input_errors_exit_1(capsys, argv, fragment):
@@ -165,9 +172,9 @@ def test_input_errors_exit_1(capsys, argv, fragment):
 def test_both_inputs_rejected(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{}")
-    code, _, err = run(capsys, "norm", "--dist", "normal",
-                       "--measure", str(path))
-    assert code == 1 and "not both" in err
+    for command, dist in (("norm", "normal"), ("classify", "uniform")):
+        code, out, err = run(capsys, command, "--dist", dist, "--measure", str(path))
+        assert code == 1 and out == "" and "not both" in err
 
 
 def test_missing_measure_file(capsys):
@@ -205,6 +212,38 @@ def test_console_script_subprocess():
     proc = run_subprocess("classify", "--dist", "poisson")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["determined"] is False
+
+
+def test_python_dash_m_imchar():
+    src = os.path.dirname(os.path.dirname(imchar.__file__))
+    proc = subprocess.run([sys.executable, "-m", "imchar", "norm", "--dist", "uniform",
+                           "--params", "a=-1,b=3"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["norm_im"] == pytest.approx(0.5, abs=1e-9)
+
+
+def readme_commands():
+    """The `imchar ...` lines of the README's shell examples, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:] for line in readme.splitlines()
+            if line.startswith("imchar ")]
+
+
+def test_readme_lists_its_cli_examples():
+    assert [argv[0] for argv in readme_commands()] == [
+        "classify", "norm", "companion", "verify-lemma1", "oracle", "cf-grid"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if "--out" in argv:
+        assert out == "" and (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+    else:
+        json.loads(out)
 
 
 @pytest.mark.parametrize("location", ["inf", "nan"])

@@ -18,13 +18,13 @@ from imchar.determine import (bnorm_im, companion, is_determined, reconstruct,
                               require_probability, sigma_measure,
                               support_criterion_check,
                               support_criterion_verdict)
-from imchar.domains import INTEGERS, REAL_LINE, BorelSet, real_box
+from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, BorelSet, cyclic, real_box
 from imchar.errors import (InternalCheckError, ParameterError, PreconditionError,
                            UnsupportedDomainError)
 from imchar.finite import brute_uniqueness, random_measures, to_measure
 from imchar.measures import (from_atoms, named_density_measure, point_mass,
-                             poly_density_measure, product_measure, scale,
-                             subtract, total_variation)
+                             poly_density_measure, product_measure, reflect,
+                             scale, subtract, total_variation)
 
 PHI_AT_ONE = 0.841344746068543   # standard normal CDF at 1
 
@@ -203,6 +203,31 @@ def test_sigma_measures():
     assert [(a.t, a.w) for a in pair.atoms] == [(-2.0, 0.5), (2.0, 0.5)]
     with pytest.raises(ParameterError):
         sigma_measure(REAL_LINE, ("pair", 0.0))
+
+
+@pytest.mark.parametrize("domain,draw", [
+    (CIRCLE, lambda rng: rng.uniform(0.0, 2.0 * math.pi)),
+    (CIRCLE, lambda rng: rng.uniform(-10.0, 10.0)),
+    (REAL_LINE, lambda rng: rng.uniform(-10.0, 10.0)),
+    (INTEGERS, lambda rng: int(rng.integers(-10**6, 10**6))),
+    (cyclic(7), lambda rng: int(rng.integers(1, 7))),
+], ids=["T", "T-wide", "R", "Z", "Z7"])
+def test_pair_filler_equals_its_reflection(domain, draw):
+    # on T, 2*pi - a rounds for most a below pi, so a pair built from a and
+    # -a is not closed under negation; coarse draws never show it
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        filler, _ = sigma_measure(domain, ("pair", draw(rng)))
+        assert reflect(filler) == filler and len(filler.atoms) == 2
+
+
+def test_pair_filler_keeps_the_companion_norm_on_the_circle():
+    m = make_measure(spec("uniform_arc", a=2.08531, b=3.4629))
+    res = companion(m, ("pair", 0.5328331253178198))
+    assert bnorm_im(res.companion) == res.norm_im
+    # a location whose negation rounds to 0 leaves no pair
+    with pytest.raises(ParameterError, match="its own inverse"):
+        sigma_measure(CIRCLE, ("pair", 1e-17))
 
 
 def test_companion_atom_example():
