@@ -35,10 +35,8 @@ NOT_DETERMINED = "not_determined"
 
 #: tail mass below which discrete supports are truncated
 _TAIL = 1e-13
-#: a truncated support holds at most _MAX_SUPPORT + 1 points, read in
-#: blocks of _FIRST_BLOCK, then twice as many, and so on
+#: a truncated support holds at most _MAX_SUPPORT + 1 points
 _MAX_SUPPORT = 100000
-_FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -297,49 +295,46 @@ _register(_Entry(
     criterion=_interval_criterion, validate=_uniform_validate))
 
 
-# lattice families on Z: scipy's frozen distributions own the pmf and the
-# support
+# lattice families on Z: scipy's distribution families own the pmf and the
+# support, called unfrozen with their shape arguments
 
 
-def _pmf_measure_tail(dist, lo: int, shift: int = 0) -> SignedMeasure:
-    """Atoms of dist from lo up to the first k > lo whose tail mass sf(k)
-    falls below _TAIL, read in blocks of doubling length."""
-    atoms = []
-    start, size = lo, _FIRST_BLOCK
-    while start <= lo + _MAX_SUPPORT:
-        ks = np.arange(start, min(start + size, lo + _MAX_SUPPORT + 1))
-        done = np.flatnonzero((dist.sf(ks) < _TAIL) & (ks > lo))
-        end = done[0] + 1 if done.size else len(ks)
-        atoms += [(k + shift, w) for k, w in zip(ks[:end].tolist(), dist.pmf(ks[:end]).tolist())
-                  if w > 0.0]
-        if done.size:
-            return build_measure(INTEGERS, atoms)
-        start, size = start + size, 2 * size
-    raise ParameterError("discrete support truncation did not converge")
+def _lattice(family_of, shift_of=lambda p: 0):
+    """Builder of the atoms of family(*args), (family, args) =
+    family_of(scipy.stats, p), moved by shift_of(p).
 
-
-def _lattice(dist_of, shift_of=lambda p: 0):
-    """Builder of the atoms of dist_of(scipy.stats, p), moved by shift_of(p).
-
-    A bounded support is read as one array; an unbounded one is walked
-    up to where its tail mass falls below _TAIL (_pmf_measure_tail).
+    The support is read as one array. An unbounded one ends at the first
+    k > lo whose tail mass sf(k) falls below _TAIL, read off isf; it is
+    refused when that k would lie beyond lo + _MAX_SUPPORT, which also
+    keeps isf away from the parameters where it stalls or fails.
     """
     def build(p) -> SignedMeasure:
         # imported here: scipy.stats takes about a second to import (it
         # loads scipy.special, scipy.integrate and scipy.optimize too) and
         # only the lattice entries need it
         from scipy import stats
-        dist, shift = dist_of(stats, p), shift_of(p)
-        lo, hi = dist.support()
+        family, args = family_of(stats, p)
+        lo, hi = family.support(*args)
+        lo = int(lo)
         if not math.isfinite(hi):
-            return _pmf_measure_tail(dist, int(lo), shift)
-        ks = np.arange(int(lo), int(hi) + 1)
+            if family.sf(lo + _MAX_SUPPORT, *args) >= _TAIL:
+                raise ParameterError("discrete support truncation did not converge")
+            # poisson's isf reads the tail through 1 - _TAIL, which can land
+            # one point off that k (poisson(0.7491488524471425) stops at 13,
+            # where sf is 1.00085e-13); sf around it settles the end
+            k = max(int(family.isf(_TAIL, *args)), lo + 1)
+            ks = np.arange(max(k - 1, lo + 1), k + 2)
+            hi = ks[family.sf(ks, *args) < _TAIL][0]
+        ks = np.arange(lo, int(hi) + 1)
+        shift = shift_of(p)
         return build_measure(INTEGERS, [(k + shift, w) for k, w in
-                                        zip(ks.tolist(), dist.pmf(ks).tolist()) if w > 0.0])
+                                        zip(ks.tolist(), family.pmf(ks, *args).tolist())
+                                        if w > 0.0])
     return build
 
 
-_poisson_shifted_build = _lattice(lambda st, p: st.poisson(p["lam"]), lambda p: p["shift"])
+_poisson_shifted_build = _lattice(lambda st, p: (st.poisson, (p["lam"],)),
+                                  lambda p: p["shift"])
 
 
 def _poisson_shifted_criterion(p):
@@ -359,7 +354,7 @@ def _hypergeom_validate(p):
 
 _register(_Entry(
     "poisson", {"lam": 1.0}, _Z,
-    _lattice(lambda st, p: st.poisson(p["lam"])),
+    _lattice(lambda st, p: (st.poisson, (p["lam"],))),
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection, so the norm is 1 - exp(-lam) < 1",
     validate=_positive_params("lam")))
@@ -374,7 +369,7 @@ _register(_Entry(
 
 _register(_Entry(
     "binomial", {"n": 5, "p": 0.4}, _Z,
-    _lattice(lambda st, p: st.binom(p["n"], p["p"])),
+    _lattice(lambda st, p: (st.binom, (p["n"], p["p"]))),
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection; the norm is 1 - (1-p)^n < 1",
     int_params=("n",),
@@ -382,14 +377,14 @@ _register(_Entry(
 
 _register(_Entry(
     "negative_binomial", {"r": 2.0, "p": 0.5}, _Z,
-    _lattice(lambda st, p: st.nbinom(p["r"], p["p"])),
+    _lattice(lambda st, p: (st.nbinom, (p["r"], p["p"]))),
     lambda p: NOT_DETERMINED,
     "the atom at 0 is its own reflection; the norm is 1 - p^r < 1",
     validate=_and(_positive_params("r"), _prob_param("p"))))
 
 _register(_Entry(
     "hypergeometric", {"N": 10, "K": 4, "n": 3}, _Z,
-    _lattice(lambda st, p: st.hypergeom(p["N"], p["K"], p["n"])),
+    _lattice(lambda st, p: (st.hypergeom, (p["N"], p["K"], p["n"]))),
     lambda p: DETERMINED if _hypergeom_lo(p) >= 1 else NOT_DETERMINED,
     "determined exactly when the support's lower end n+K-N clears 0",
     criterion=lambda p: None if _hypergeom_lo(p) < 1 else BorelSet.from_indices(

@@ -17,7 +17,7 @@ an oracle disagreement or a catalog regression mismatch.
 
 Measures come either from the catalog (--dist name --params k=v,...)
 or from a JSON file (--measure path). All JSON output is deterministic:
-keys sorted, floats with 17 significant digits.
+keys sorted, floats as their shortest round-trip repr.
 """
 
 from __future__ import annotations

@@ -156,11 +156,6 @@ class SignedMeasure:
             if self.domain.discrete and self.density:
                 raise ParameterError(f"measures on {self.domain.describe()} are purely atomic")
 
-    def is_zero(self) -> bool:
-        if self.factors:
-            return any(f.is_zero() for f in self.factors)
-        return not self.atoms and not self.density
-
 
 # ---------------------------------------------------------------------------
 # construction and normalization

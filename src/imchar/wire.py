@@ -31,8 +31,6 @@ from imchar.errors import FormatError, ImcharError, ParameterError
 from imchar.measures import (DensitySegment, NamedTerm, SignedMeasure,
                              build_measure, _named)
 
-_BOOKKEEPING = ("w", "reflect")
-
 
 # ---------------------------------------------------------------------------
 # writing

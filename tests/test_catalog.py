@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from imchar.catalog import (_TAIL, DETERMINED, NOT_DETERMINED, _pmf_measure_tail,
+from imchar.catalog import (_TAIL, DETERMINED, NOT_DETERMINED, _lattice,
                             catalog_list_obj, catalog_names, classify, classify_all,
                             criterion_set, domain_of, expected_classification,
                             make_measure, spec)
@@ -229,7 +229,8 @@ def test_lattice_atoms_match_the_scalar_loop():
     for name in _LATTICE:
         specs = [spec(name), *helpers.catalog_draws(rng, name, 6)]
         if name == "poisson":
-            specs.append(spec("poisson", lam=500.0))
+            # at lam = 0.749..., isf(_TAIL) stops one short of the scalar loop
+            specs += [spec("poisson", lam=lam) for lam in (500.0, 0.7491488524471425)]
         for sp in specs:
             atoms, stop = _scalar_atoms(name, sp.params_dict)
             got = [(a.t, a.w.hex()) for a in make_measure(sp).atoms]
@@ -240,26 +241,38 @@ def test_lattice_atoms_match_the_scalar_loop():
 
 
 class _FlatTail:
-    """A pmf whose tail mass drops below _TAIL only at k = stop."""
+    """An unfrozen family on {lo, lo + 1, ...} whose tail mass drops below
+    _TAIL only at k = stop; it ignores its shape arguments."""
 
-    def __init__(self, stop):
-        self.stop = stop
+    def __init__(self, lo, stop):
+        self.lo, self.stop = lo, stop
 
-    def pmf(self, k):
+    def support(self, *args):
+        return self.lo, math.inf
+
+    def pmf(self, k, *args):
         return np.full(np.shape(k), 1e-6)
 
-    def sf(self, k):
+    def sf(self, k, *args):
         return np.where(np.asarray(k) >= self.stop, 0.0, 0.5)
+
+    def isf(self, q, *args):
+        return float(self.stop)
+
+
+def _flat_tail_build(stop):
+    return _lattice(lambda st, p: (_FlatTail(7, stop), ()))({})
 
 
 def test_lattice_truncation_guard():
     # the support may run to lo + 100000 and no further, in both builders
-    m = _pmf_measure_tail(_FlatTail(7 + 100000), 7)
+    m = _flat_tail_build(7 + 100000)
     assert (m.atoms[0].t, m.atoms[-1].t, len(m.atoms)) == (7, 100007, 100001)
-    assert _scalar_tail(_FlatTail(7 + 100000), 7)[1] == 100007
-    for build in (_pmf_measure_tail, _scalar_tail):
-        with pytest.raises(ParameterError, match="did not converge"):
-            build(_FlatTail(7 + 100001), 7)
+    assert _scalar_tail(_FlatTail(7, 7 + 100000), 7)[1] == 100007
+    with pytest.raises(ParameterError, match="did not converge"):
+        _flat_tail_build(7 + 100001)
+    with pytest.raises(ParameterError, match="did not converge"):
+        _scalar_tail(_FlatTail(7, 7 + 100001), 7)
     with pytest.raises(ParameterError, match="did not converge"):
         make_measure(spec("poisson", lam=2e5))
 

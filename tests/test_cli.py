@@ -118,6 +118,8 @@ def test_cf_grid_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,re,im,err"
     assert len(lines) == 5
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_cf_grid_json(capsys):
@@ -162,6 +164,10 @@ def test_repeat_invocations_byte_identical(capsys):
     (["norm", "--dist", "normal", "--params", "mu=abc"], "not a number"),
     (["norm", "--dist", "normal", "--format", "csv"], "unrecognized arguments: --format"),
     (["companion", "--dist", "exponential"], "no companion exists"),
+    (["norm", "--dist", "normal", "--params", "mu"], "expects k=v pairs"),
+    (["companion", "--dist", "poisson", "--sigma", "pair:abc"], "not a number"),
+    (["companion", "--dist", "poisson", "--sigma", "bogus"], "--sigma must be"),
+    (["cf-grid", "--dist", "poisson", "--points", "0"], "--points must be at least 1"),
 ])
 def test_input_errors_exit_1(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -205,7 +211,7 @@ def run_subprocess(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "imchar.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_console_script_subprocess():
@@ -279,6 +285,20 @@ def test_non_finite_catalog_parameters_are_input_errors(dist, params):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "must be a finite number" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dist,params", [
+    ("negative_binomial", "r=1e300,p=0.999999999999"),
+    ("negative_binomial", "r=1,p=1e-300"),
+    ("negative_binomial", "r=1e300,p=0.5"),
+    ("poisson", "lam=1e12"),
+])
+def test_far_lattice_tails_are_refused(dist, params):
+    # scipy's isf stalls, aborts the interpreter or returns nan at these
+    # parameters; the builder must refuse them before it asks
+    proc = run_subprocess("classify", "--dist", dist, "--params", params)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "did not converge" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["classify", "norm", "companion", "decompose",

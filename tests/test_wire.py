@@ -5,11 +5,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from imchar import jsonio
 from imchar.domains import CIRCLE, INTEGERS, REAL_LINE, cyclic
-from imchar.errors import FormatError
+from imchar.errors import FormatError, ParameterError
 from imchar.measures import (add, from_atoms, named_density_measure,
                              poly_density_measure, product_measure, reflect,
                              scale)
@@ -45,6 +46,22 @@ def test_named_density_roundtrip():
     assert roundtrip(half_reflected) == half_reflected
     mixed = add(g, poly_density_measure(REAL_LINE, -2.0, -1.0, [1.0]))
     assert roundtrip(mixed) == mixed
+
+
+def test_shortest_repr_floats_roundtrip_bit_for_bit():
+    # each is written as its shortest repr, which differs from 17 digits
+    xs = [0.1, 1 / 3, 1e-5, 5e-324, -0.0, 1.0]
+    assert all(repr(x) != format(x, ".17g") for x in xs)
+    m = from_atoms(REAL_LINE, list(zip(xs, [1.0, *xs[:4], 0.25])))
+    poly = poly_density_measure(REAL_LINE, xs[0], xs[1], xs)
+    for before in (m, poly):
+        after = roundtrip(before)
+        assert after == before
+        assert [(a.t.hex(), a.w.hex()) for a in after.atoms] == [
+            (a.t.hex(), a.w.hex()) for a in before.atoms]
+        assert [[c.hex() for c in seg.coeffs] for seg in after.density] == [
+            [c.hex() for c in seg.coeffs] for seg in before.density]
+    assert math.copysign(1.0, roundtrip(m).atoms[0].t) == -1.0
 
 
 def test_infinite_endpoints_encode_as_strings():
@@ -94,6 +111,24 @@ def test_deterministic_bytes():
     ({"domain": {"kind": "Rbox", "n": 2}, "factors": [
         {"domain": {"kind": "Z"}, "atoms": [{"t": 0, "w": 1.0}]},
         {"domain": {"kind": "R"}, "atoms": [{"t": 0.0, "w": 1.0}]}]}, ""),
+    ({"domain": {"kind": "R"}, "atoms": [{"t": 0.0, "w": None}]}, "got NoneType"),
+    ([], "expected an object, got list"),
+    ({"domain": {"kind": "Rbox", "n": 2}, "factors": [
+        {"domain": {"kind": "R"}, "atoms": [{"t": 0.0, "w": 1.0}]}]}, "list of 2 factor"),
+    ({"domain": {"kind": "R"}, "density": 7}, "density: expected an array"),
+    ({"domain": {"kind": "R"}, "density": [7]}, "density[0]: expected an object"),
+    ({"domain": {"kind": "R"},
+      "density": [{"a": "-inf", "b": 1.0, "form": "poly", "coeffs": [1.0]}]}, "finite endpoints"),
+    ({"domain": {"kind": "R"},
+      "density": [{"a": 0.0, "b": 1.0, "form": "named", "name": 3}]}, "name"),
+    ({"domain": {"kind": "R"},
+      "density": [{"a": 0.0, "b": 1.0, "form": "named", "name": "gamma", "params": [1]}]},
+     "params: expected an object"),
+    ({"domain": {"kind": "R"},
+      "density": [{"a": 0.0, "b": 1.0, "form": "spline"}]}, "form"),
+    # build_measure's refusal, re-raised as a FormatError
+    ({"domain": {"kind": "T"},
+      "density": [{"a": 0.0, "b": 7.0, "form": "poly", "coeffs": [0.1]}]}, "inside [0, 2*pi]"),
 ])
 def test_malformed_objects_rejected(obj, fragment):
     with pytest.raises(FormatError) as err:
@@ -129,32 +164,26 @@ def test_readme_measure_document_loads():
     assert m.atoms and m.density
 
 
-def _escape_per_character(s):
-    """The writer's per-character string escape, kept as the oracle of the
-    one regex substitution that replaced it."""
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def test_string_escape_matches_per_character_writer(monkeypatch):
+def test_strings_round_trip_through_the_writer():
+    # every string comes back from the writer's JSON as it went in, as a
+    # key and as a value
     strings = ["", "plain", "normal", 'a "quoted" word', "back\\slash", "\\", '"',
                "tab\there", "line\nbreak", "\x00", "\x1f", "\x20", "\x7f", "é μ σ → ∞",
                "mixed \"é\"\\\x01", "\U0001d53c[X]"]
     strings += [chr(c) for c in range(0x80)]
-    for s in strings:
-        assert jsonio._escape(s) == _escape_per_character(s)
     doc = {s: [s, {"k": s}] for s in strings}
-    fast = jsonio.dumps(doc)
-    monkeypatch.setattr(jsonio, "_escape", _escape_per_character)
-    assert fast == jsonio.dumps(doc)
-    assert json.loads(fast) == doc
+    assert json.loads(jsonio.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(-math.inf)])
+def test_writers_refuse_non_finite_numbers(bad):
+    with pytest.raises(ParameterError):
+        jsonio.dumps({"x": [1.0, bad]})
+    with pytest.raises(ParameterError):
+        jsonio.csv_rows(["x", "y"], [(0.5, 1.0), (2, bad)])
+
+
+@pytest.mark.parametrize("bad", [object(), {1.0}, 1j, b"bytes"])
+def test_dumps_refuses_unsupported_types(bad):
+    with pytest.raises(ParameterError):
+        jsonio.dumps({"x": bad})
